@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,28 @@ EXIT_CONFIG = 64
 
 class ConfigError(ValueError):
     pass
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string"}
+
+
+def _checked(key, value, kind, nullable=False):
+    """`value` as a `kind` (int, float, bool or str); ConfigError if it is not one."""
+    if value is None and nullable:
+        return None
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        try:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value) and (kind is float or float(value).is_integer()))
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}"
+                          + (" or null" if nullable else "") + f", got {value!r}")
+    return kind(value)
 
 
 def load_config(path=None, overrides=()):
@@ -118,54 +141,58 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, cfg):
+        def get(key, kind, nullable=False):
+            return _checked(key, cfg[key], kind, nullable)
+
         try:
-            model = dispersion.get_model(str(cfg["model"]))
+            model = dispersion.get_model(get("model", str))
         except ValueError as exc:
             raise ConfigError(str(exc))
-        nmax = int(cfg["grid.nmax"])
+        nmax = get("grid.nmax", int)
         if nmax < 1:
             raise ConfigError("grid.nmax must be a positive integer")
-        epsilon = float(cfg["run.epsilon"])
+        epsilon = get("run.epsilon", float)
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigError(f"run.epsilon must lie in [0, 1], got {epsilon}")
         raw_t = cfg["run.t"]
-        times = [float(v) for v in (raw_t if isinstance(raw_t, (list, tuple)) else [raw_t])]
+        times = [_checked("run.t", v, float)
+                 for v in (raw_t if isinstance(raw_t, (list, tuple)) else [raw_t])]
         if any(t < 0 for t in times) or not times:
             raise ConfigError("run.t must be a nonnegative time or list of times")
-        dt = float(cfg["run.dt"])
+        dt = get("run.dt", float)
         if dt <= 0:
             raise ConfigError("run.dt must be positive")
-        samples = int(cfg["run.samples"])
+        samples = get("run.samples", int)
         if samples < 2:
             raise ConfigError("run.samples must be at least 2")
-        workers = int(cfg["run.workers"])
-        batch = int(cfg["run.batch"])
+        workers = get("run.workers", int)
+        batch = get("run.batch", int)
         if workers < 1 or batch < 1:
             raise ConfigError("run.workers and run.batch must be positive")
         try:
-            law = sampling.law_from_kurtosis(str(cfg["law.kind"]), cfg["law.kurtosis"])
+            law = sampling.law_from_kurtosis(get("law.kind", str),
+                                             get("law.kurtosis", float, nullable=True))
         except ValueError as exc:
             raise ConfigError(str(exc))
         return cls(
             model=model, nmax=nmax,
-            spectrum_family=str(cfg["spectrum.family"]),
-            spectrum_alpha=cfg["spectrum.alpha"],
-            spectrum_force=bool(cfg["spectrum.force"]),
+            spectrum_family=get("spectrum.family", str),
+            spectrum_alpha=get("spectrum.alpha", float, nullable=True),
+            spectrum_force=get("spectrum.force", bool),
             law=law, epsilon=epsilon, times=times, dt=dt, samples=samples,
-            seed=int(cfg["run.seed"]), workers=workers, batch=batch,
-            budget=float(cfg["run.budget"]),
-            resonance_threshold=float(cfg["resonances.threshold"]),
-            diagnostics_draws=int(cfg["diagnostics.draws"]),
-            diagnostics_s=cfg["diagnostics.s"],
-            out_dir=Path(str(cfg["out.dir"])))
+            seed=get("run.seed", int), workers=workers, batch=batch,
+            budget=get("run.budget", float),
+            resonance_threshold=get("resonances.threshold", float),
+            diagnostics_draws=get("diagnostics.draws", int),
+            diagnostics_s=get("diagnostics.s", float, nullable=True),
+            out_dir=Path(get("out.dir", str)))
 
     def spectrum(self, gated):
         """Build the profile; dynamics commands enforce the regularity floor."""
         model = self.model if (gated and not self.spectrum_force) else None
         try:
-            alpha = None if self.spectrum_alpha is None else float(self.spectrum_alpha)
             return sampling.build_spectrum(
-                self.spectrum_family, alpha, self.nmax, self.model.dimension, model)
+                self.spectrum_family, self.spectrum_alpha, self.nmax, self.model.dimension, model)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -182,6 +209,16 @@ def _outfile(cfg, name):
     return cfg.out_dir / name
 
 
+def _triads_with_delta(model, nmax):
+    """Every triad as mode arrays (n, k, l), with delta looked up from omega_full."""
+    om = dispersion.omega_full(model, nmax).ravel()
+    n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
+
+    def at(m):
+        return om[dispersion.flat_index(model.dimension, nmax, m)]
+    return n, k, l, at(k) + at(l) - at(n)
+
+
 # ---------------------------------------------------------------------------
 # resonances
 # ---------------------------------------------------------------------------
@@ -190,16 +227,7 @@ def cmd_resonances(cfg):
     if cfg.nmax > 32:
         raise ConfigError("resonance enumeration is budgeted for grid.nmax <= 32")
     model = cfg.model
-    rows_n, rows_k, rows_l, deltas = [], [], [], []
-    for n, k, l in dispersion.triad_blocks(model.dimension, cfg.nmax, block=512):
-        rows_n.append(n)
-        rows_k.append(k)
-        rows_l.append(l)
-        deltas.append(dispersion.delta_triads(model, n, k, l))
-    n = np.concatenate(rows_n) if rows_n else np.empty((0, model.dimension), int)
-    k = np.concatenate(rows_k) if rows_k else n.copy()
-    l = np.concatenate(rows_l) if rows_l else n.copy()
-    d = np.concatenate(deltas) if deltas else np.empty(0)
+    n, k, l, d = _triads_with_delta(model, cfg.nmax)
 
     ratio = None
     alarm = False
@@ -264,17 +292,15 @@ def cmd_resonances(cfg):
 
 def cmd_predict(cfg):
     spectrum = cfg.spectrum(gated=False)
+    rows = cov.prediction_table(spectrum, cfg.law.kurtosis, cfg.model, cfg.times)
     path = _outfile(cfg, "predictions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,mode,l1,lambda_sq,g_total,envelope,warnings\n")
-        for t in cfg.times:
-            rows = cov.prediction_table(spectrum, cfg.law.kurtosis, cfg.model, t)
-            sizes = dispersion.mode_l1(cfg.model.dimension, cfg.nmax).reshape(-1)
-            for i, (mode, lam2, g, env, flagged) in enumerate(rows):
-                fh.write(",".join([
-                    f"{t:.17g}", _mode_label(mode), str(int(sizes[i])),
-                    f"{lam2:.17g}", f"{g:.17g}", f"{env:.17g}",
-                    "truncated-2n" if flagged else ""]) + "\n")
+        for t, mode, size, lam2, g, env, flagged in rows:
+            fh.write(",".join([
+                f"{t:.17g}", _mode_label(mode), str(size),
+                f"{lam2:.17g}", f"{g:.17g}", f"{env:.17g}",
+                "truncated-2n" if flagged else ""]) + "\n")
     print(f"predict: wrote {len(cfg.times)} time slice(s) -> {path}")
     return EXIT_OK
 
@@ -284,8 +310,10 @@ def cmd_predict(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_covariance(cfg):
+    if len(cfg.times) != 1:
+        raise ConfigError(f"covariance takes one time in run.t, got {len(cfg.times)}")
     ensemble = cfg.ensemble(gated=True)
-    t = cfg.times[-1]
+    t = cfg.times[0]
     grid = 2 * (2 * cfg.nmax + 1)
     work = cfg.samples * max(1, int(np.ceil(t / cfg.dt))) * 4 * grid ** cfg.model.dimension
     if work > cfg.budget:
@@ -361,23 +389,19 @@ def cmd_sample_diagnostics(cfg):
 # ---------------------------------------------------------------------------
 
 def _check_delta_oracles():
-    worst = 0.0
-    for n, k, l in dispersion.triad_blocks(1, 12):
-        d = dispersion.delta_triads(dispersion.BBM, n, k, l)
-        ref = dispersion.bbm_delta_factored(n[:, 0], k[:, 0], l[:, 0])
-        worst = max(worst, float(np.max(np.abs(d - ref) / np.abs(ref))))
-        d_kdv = dispersion.delta_triads(dispersion.KDV, n, k, l)
-        exact = -3.0 * n[:, 0] * k[:, 0] * l[:, 0]
-        worst = max(worst, float(np.max(np.abs(d_kdv - exact))))
+    n, k, l, d = _triads_with_delta(dispersion.BBM, 12)
+    ref = dispersion.bbm_delta_factored(n[:, 0], k[:, 0], l[:, 0])
+    worst = float(np.max(np.abs(d - ref) / np.abs(ref)))
+    n, k, l, d = _triads_with_delta(dispersion.KDV, 12)
+    worst = max(worst, float(np.max(np.abs(d + 3.0 * n[:, 0] * k[:, 0] * l[:, 0]))))
     for model in (dispersion.KPI, dispersion.KPII):
-        for n, k, l in dispersion.triad_blocks(2, 5):
-            d = dispersion.delta_triads(model, n, k, l)
-            ref = dispersion.kp_delta_factored(model, n, k, l)
-            worst = max(worst, float(np.max(np.abs(d - ref) / np.abs(ref))))
-            if model.kind == "kpii":
-                ratio = np.abs(d) / dispersion.kpii_delta_bound(n, k, l)
-                if float(ratio.min()) < 1.0 - 1e-12:
-                    return False, f"KP-II bound ratio {ratio.min():.3e}"
+        n, k, l, d = _triads_with_delta(model, 5)
+        ref = dispersion.kp_delta_factored(model, n, k, l)
+        worst = max(worst, float(np.max(np.abs(d - ref) / np.abs(ref))))
+        if model.kind == "kpii":
+            ratio = np.abs(d) / dispersion.kpii_delta_bound(n, k, l)
+            if float(ratio.min()) < 1.0 - 1e-12:
+                return False, f"KP-II bound ratio {ratio.min():.3e}"
     return worst <= 1e-12, f"max relative mismatch {worst:.3e}"
 
 

@@ -69,75 +69,74 @@ def _lambda_sq_full(spectrum):
     return out
 
 
-def _as_mode(dim, n):
-    if dim == 1:
-        return (int(np.asarray(n)),)
-    return (int(n[0]), int(n[1]))
+def _full_tables(spectrum, model):
+    """omega, phi and |lambda|^2 on the flat full box."""
+    nmax = spectrum.nmax
+    return (dispersion.omega_full(model, nmax).ravel(),
+            dispersion.phi_full(model, nmax).ravel(),
+            _lambda_sq_full(spectrum).ravel())
 
 
-def _inside(nmax, mode):
-    return all(abs(c) <= nmax for c in mode)
+def _bracket(ph, lam2, n, k, l):
+    """The equilibrium bracket of the triads (n, k, l), flat full-box indices."""
+    return ph[n] * lam2[k] * lam2[l] - ph[k] * lam2[n] * lam2[l] - ph[l] * lam2[n] * lam2[k]
 
 
-def _flat_index(dim, nmax, mode):
-    if dim == 1:
-        return mode[0] + nmax
-    side = 2 * nmax + 1
-    return (mode[0] + nmax) * side + (mode[1] + nmax)
+def _g_parts(spectrum, kurtosis, model, t, kernel, modes):
+    """Pieces of G (or of its rate, by `kernel`) at the (M, dim) int `modes`.
 
-
-def _g_pieces(n, spectrum, kurtosis, model, t, kernel):
-    """Per-triad main terms plus the kurtosis correction for one mode."""
+    Returns (weight, correction, dropped): `weight(n, k, l)` gives the
+    per-triad main terms of a block of flat triad indices, `correction` the
+    kurtosis term with shape t.shape + (M,), and `dropped` marks the modes
+    whose doubled mode 2n falls outside the truncation while that term is
+    live.
+    """
     dim, nmax = spectrum.dimension, spectrum.nmax
     if model.dimension != dim:
         raise ValueError(f"spectrum dimension {dim} does not match model {model.kind}")
-    mode = _as_mode(dim, n)
-    if mode[0] == 0 or not _inside(nmax, mode):
+    om, ph, lam2 = _full_tables(spectrum, model)
+    t = np.asarray(t, dtype=float)[..., None]
+
+    def weight(n, k, l):
+        delta = om[k] + om[l] - om[n]
+        return 4.0 * ph[n] * kernel(delta, t) * _bracket(ph, lam2, n, k, l)
+
+    if kurtosis == 2.0:
+        return weight, np.zeros(t.shape[:-1] + (len(modes),)), np.zeros(len(modes), dtype=bool)
+    n = dispersion.flat_index(dim, nmax, modes)
+    even = np.all(modes % 2 == 0, axis=-1)
+    q = dispersion.flat_index(dim, nmax, modes // 2)
+    inside = np.all(np.abs(2 * modes) <= nmax, axis=-1)
+    twice = dispersion.flat_index(dim, nmax, np.where(inside[:, None], 2 * modes, modes))
+    half_term = 2.0 * kernel(2.0 * om[q] - om[n], t) * ph[n] ** 2 * lam2[q] ** 2
+    twice_term = 4.0 * kernel(om[twice] - 2.0 * om[n], t) * ph[twice] * ph[n] * lam2[n] ** 2
+    correction = np.where(even, half_term, 0.0) - np.where(inside, twice_term, 0.0)
+    return weight, correction * (kurtosis - 2.0), ~inside
+
+
+def _g_values(spectrum, kurtosis, model, t, kernel, modes):
+    """G (or its rate) at `modes`, shape t.shape + (M,), and the dropped mask."""
+    weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t, kernel, modes)
+    sums = dispersion.triad_sums(spectrum.dimension, spectrum.nmax, weight, modes)
+    return sums + correction, dropped
+
+
+def _single_mode(spectrum, n):
+    """One mode label as a (1, dim) int array, rejected outside the truncation."""
+    mode = np.asarray(n, dtype=int).reshape(1, -1)
+    if (mode.shape[1] != spectrum.dimension or mode[0, 0] == 0
+            or np.any(np.abs(mode) > spectrum.nmax)):
         raise ValueError(f"mode {n!r} outside the active truncated lattice")
-
-    lam2 = _lambda_sq_full(spectrum).ravel()
-    om = dispersion.omega_full(model, nmax).ravel()
-    ph = dispersion.phi_full(model, nmax).ravel()
-
-    from .picard import _mode_triad_arrays
-    kf, lf = _mode_triad_arrays(dim, nmax, mode if dim == 2 else mode[0])
-    n_idx = _flat_index(dim, nmax, mode)
-    phi_n = ph[n_idx]
-    lam_n = lam2[n_idx]
-    om_n = om[n_idx]
-
-    delta = om[kf] + om[lf] - om_n
-    factor = (phi_n * lam2[kf] * lam2[lf]
-              - ph[kf] * lam_n * lam2[lf]
-              - ph[lf] * lam_n * lam2[kf])
-    terms = 4.0 * phi_n * np.asarray(kernel(delta, t)) * factor
-
-    correction = 0.0
-    warned = False
-    if kurtosis != 2.0:
-        if all(c % 2 == 0 for c in mode):
-            q = tuple(c // 2 for c in mode)
-            q_idx = _flat_index(dim, nmax, q)
-            d_q = 2.0 * om[q_idx] - om_n
-            correction += 2.0 * float(kernel(d_q, t)) * phi_n ** 2 * lam2[q_idx] ** 2
-        twice = tuple(2 * c for c in mode)
-        if _inside(nmax, twice):
-            t_idx = _flat_index(dim, nmax, twice)
-            d_2n = om[t_idx] - 2.0 * om_n
-            correction -= 4.0 * float(kernel(d_2n, t)) * ph[t_idx] * phi_n * lam_n ** 2
-        else:
-            warned = True
-        correction *= (kurtosis - 2.0)
-    return terms, float(correction), warned
+    return mode
 
 
 def _g_eval(n, spectrum, kurtosis, model, t, kernel, warn):
-    terms, correction, warned = _g_pieces(n, spectrum, kurtosis, model, t, kernel)
-    if warned and warn:
+    values, dropped = _g_values(spectrum, kurtosis, model, t, kernel, _single_mode(spectrum, n))
+    if dropped[0] and warn:
         warnings.warn(
             f"mode {n!r}: doubled mode outside the truncation, kurtosis term dropped",
             TruncationWarning, stacklevel=3)
-    return float(np.sum(terms) + correction)
+    return float(values[0])
 
 
 def g_rate(n, spectrum, kurtosis, model, t, warn=True):
@@ -152,22 +151,27 @@ def g_total(n, spectrum, kurtosis, model, t, warn=True):
 
 def g_total_terms(n, spectrum, kurtosis, model, t):
     """Per-triad contributions to G_n plus (kurtosis correction, dropped flag)."""
-    return _g_pieces(n, spectrum, kurtosis, model, t, tilde_f_kernel)
+    mode = _single_mode(spectrum, n)
+    weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t, tilde_f_kernel, mode)
+    flat = dispersion.flat_index(spectrum.dimension, spectrum.nmax, mode)
+    terms = [weight(*block) for block in
+             dispersion.triad_blocks(spectrum.dimension, spectrum.nmax, flat)]
+    return (np.concatenate(terms) if terms else np.empty(0)), float(correction[0]), bool(dropped[0])
 
 
 def g_table(spectrum, kurtosis, model, t, rate=False):
-    """G over every stored mode; returns (values, list of flagged modes)."""
+    """G over every stored mode; returns (values, list of flagged modes).
+
+    `t` is a time or a 1-d array of times; values have shape
+    t.shape + stored_shape.
+    """
     kernel = sinc_kernel if rate else tilde_f_kernel
-    shape = dispersion.stored_shape(spectrum.dimension, spectrum.nmax)
-    values = np.zeros(shape)
-    flagged = []
-    flat = values.reshape(-1)
-    for m, mode in enumerate(dispersion.mode_list(spectrum.dimension, spectrum.nmax)):
-        terms, corr, warned = _g_pieces(mode, spectrum, kurtosis, model, t, kernel)
-        flat[m] = np.sum(terms) + corr
-        if warned:
-            flagged.append(mode)
-    return values, flagged
+    dim, nmax = spectrum.dimension, spectrum.nmax
+    values, dropped = _g_values(spectrum, kurtosis, model, t, kernel,
+                                dispersion.stored_modes(dim, nmax))
+    labels = dispersion.mode_list(dim, nmax)
+    return (values.reshape(np.shape(t) + dispersion.stored_shape(dim, nmax)),
+            [labels[m] for m in np.flatnonzero(dropped)])
 
 
 def kinetic_residual(spectrum, model, resonance_threshold):
@@ -178,29 +182,14 @@ def kinetic_residual(spectrum, model, resonance_threshold):
     makes every sum empty, hence exactly zero.
     """
     dim, nmax = spectrum.dimension, spectrum.nmax
-    lam2 = _lambda_sq_full(spectrum).ravel()
-    om = dispersion.omega_full(model, nmax).ravel()
-    ph = dispersion.phi_full(model, nmax).ravel()
-    from .picard import _mode_triad_arrays
+    om, ph, lam2 = _full_tables(spectrum, model)
 
-    shape = dispersion.stored_shape(dim, nmax)
-    out = np.zeros(shape)
-    flat = out.reshape(-1)
-    for m, mode_label in enumerate(dispersion.mode_list(dim, nmax)):
-        mode = _as_mode(dim, mode_label)
-        kf, lf = _mode_triad_arrays(dim, nmax, mode_label)
-        if kf.size == 0:
-            continue
-        n_idx = _flat_index(dim, nmax, mode)
-        delta = om[kf] + om[lf] - om[n_idx]
-        near = np.abs(delta) <= resonance_threshold
-        if not near.any():
-            continue
-        kf, lf = kf[near], lf[near]
-        flat[m] = np.sum(ph[n_idx] * lam2[kf] * lam2[lf]
-                         - ph[kf] * lam2[n_idx] * lam2[lf]
-                         - ph[lf] * lam2[n_idx] * lam2[kf])
-    return out
+    def weight(n, k, l):
+        near = np.abs(om[k] + om[l] - om[n]) <= resonance_threshold
+        return np.where(near, _bracket(ph, lam2, n, k, l), 0.0)
+
+    sums = dispersion.triad_sums(dim, nmax, weight, dispersion.stored_modes(dim, nmax))
+    return sums.reshape(dispersion.stored_shape(dim, nmax))
 
 
 def decay_envelope(model, n_l1, s, t):
@@ -214,18 +203,23 @@ def decay_envelope(model, n_l1, s, t):
     return n_l1 ** (-2.0 * s)
 
 
-def prediction_table(spectrum, kurtosis, model, t):
-    """Rows (mode, |lambda_n|^2, G_n, envelope, flagged) for every stored mode."""
-    values, flagged = g_table(spectrum, kurtosis, model, t)
+def prediction_table(spectrum, kurtosis, model, times):
+    """Rows (t, mode, l1 size, |lambda_n|^2, G_n, envelope, flagged).
+
+    One row per time of the 1-d `times` and stored mode, times outermost.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    dim, nmax = spectrum.dimension, spectrum.nmax
+    values, flagged = g_table(spectrum, kurtosis, model, times)
     flagged_set = set(flagged)
-    size = dispersion.mode_l1(spectrum.dimension, spectrum.nmax)
-    env = decay_envelope(model, size, spectrum.effective_s, t)
-    lam2 = spectrum.lambda_sq
+    size = dispersion.mode_l1(dim, nmax).reshape(-1)
+    lam2 = spectrum.lambda_sq.reshape(-1)
+    modes = dispersion.mode_list(dim, nmax)
     rows = []
-    for m, mode in enumerate(dispersion.mode_list(spectrum.dimension, spectrum.nmax)):
-        idx = np.unravel_index(m, values.shape)
-        rows.append((mode, float(lam2[idx]), float(values[idx]), float(env[idx]),
-                     mode in flagged_set))
+    for t, g in zip(times, values.reshape(times.size, -1)):
+        env = decay_envelope(model, size, spectrum.effective_s, t)
+        rows += [(float(t), mode, int(size[m]), float(lam2[m]), float(g[m]), float(env[m]),
+                  mode in flagged_set) for m, mode in enumerate(modes)]
     return rows
 
 
@@ -279,10 +273,10 @@ def _offdiag_pairs(dim, nmax, cap):
 
 def _covariance_batch(task):
     """One batch of coupled solves; returns mergeable partial statistics."""
-    (ensemble, model, epsilon, t, dt, dealias, start, stop, pairs) = task
+    (ensemble, model, epsilon, t, dt, start, stop, pairs) = task
     indices = list(range(start, stop))
     a = sample_coeff_batch(ensemble, indices)
-    final, _, alive, blow = evolve_array(model, epsilon, a, dt, t, dealias=dealias)
+    final, _, alive, blow = evolve_array(model, epsilon, a, dt, t)
     a_flat = a.reshape(a.shape[0], -1)
     v_flat = final.reshape(final.shape[0], -1)
     keep = np.asarray(alive).reshape(-1)
@@ -373,7 +367,7 @@ class CovarianceReport:
 
 
 def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128,
-                  dealias=True, offdiag_cap=64):
+                  offdiag_cap=64):
     """Coupled-ensemble estimate of the covariance correction at time t.
 
     Deterministic given (ensemble, batch_size): batches are fixed slices of
@@ -392,7 +386,7 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128,
             TheoryWindowWarning, stacklevel=2)
 
     pairs = _offdiag_pairs(spectrum.dimension, spectrum.nmax, offdiag_cap)
-    tasks = [(ensemble, model, epsilon, t, dt, dealias, start,
+    tasks = [(ensemble, model, epsilon, t, dt, start,
               min(start + batch_size, ensemble.samples), pairs)
              for start in range(0, ensemble.samples, batch_size)]
     if workers > 1 and len(tasks) > 1:

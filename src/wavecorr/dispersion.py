@@ -16,6 +16,10 @@ mode size |n| is always the l1 size sum_j |n_j|.
 A triad is an ordered pair (k, l) with k + l = n; its pulsation mismatch is
 delta = omega(k) + omega(l) - omega(n), computed directly from omega.  The
 factored rational forms are provided separately as test oracles only.
+
+`triad_blocks` is the one triad enumeration.  It yields flat full-box
+indices, so a triad sum looks delta up from `omega_full(...).ravel()`,
+gathers its per-triad weight, and reduces per output mode (`triad_sums`).
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ __all__ = [
     "bbm_delta_factored", "bbm_delta_lemma_magnitude",
     "kp_delta_factored", "kpii_delta_bound",
     "stored_shape", "mode_grids", "mode_l1", "mode_list",
-    "full_shape", "full_mode_grids", "full_index",
+    "stored_modes", "full_shape", "full_mode_grids", "full_modes", "flat_index",
     "omega_grid", "phi_grid", "omega_full", "phi_full",
-    "triad_blocks", "enumerate_triads", "delta_triads", "max_abs_delta",
+    "triad_blocks", "triad_sums", "enumerate_triads", "delta_triads", "max_abs_delta",
 ]
 
 
@@ -254,12 +258,20 @@ def full_mode_grids(dim, nmax):
             np.broadcast_to(r[None, :], (side, side)))
 
 
-def full_index(n, nmax):
-    """Index of mode n inside a full-box array."""
-    arr = np.asarray(n)
-    if arr.ndim == 0:
-        return int(arr) + nmax
-    return tuple(int(c) + nmax for c in arr)
+def full_modes(dim, nmax):
+    """Every full-box mode as an (N, dim) int array; row i has flat index i."""
+    return np.stack([g.ravel() for g in full_mode_grids(dim, nmax)], axis=-1)
+
+
+def stored_modes(dim, nmax):
+    """Every stored mode as an (M, dim) int array, in storage order."""
+    return np.stack([g.ravel() for g in mode_grids(dim, nmax)], axis=-1)
+
+
+def flat_index(dim, nmax, modes):
+    """Flat full-box index of each mode of an (..., dim) int array."""
+    shifted = np.asarray(modes) + nmax
+    return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)), full_shape(dim, nmax))
 
 
 def omega_grid(model, nmax):
@@ -296,60 +308,75 @@ def phi_full(model, nmax):
 # Triad enumeration.
 # ---------------------------------------------------------------------------
 
-def _active_modes(dim, nmax):
-    """All modes of the truncated active lattice as an (M, dim) int array."""
-    if dim == 1:
-        vals = np.concatenate([np.arange(-nmax, 0), np.arange(1, nmax + 1)])
-        return vals[:, None]
-    n1 = np.concatenate([np.arange(-nmax, 0), np.arange(1, nmax + 1)])
-    n2 = np.arange(-nmax, nmax + 1)
-    g1, g2 = np.meshgrid(n1, n2, indexing="ij")
-    return np.stack([g1.ravel(), g2.ravel()], axis=1)
+# Candidate (n, k) pairs per block.  A triad sum's per-block arrays then stay
+# near 1 MB, complex weights and several times included, so it adds little to
+# a run's peak memory; larger blocks were not measurably faster.
+_TRIAD_BLOCK = 1 << 13
 
 
-def triad_blocks(dim, nmax, block=256):
-    """Yield (n, k, l) arrays of shape (T, dim) covering every triad once.
+def triad_blocks(dim, nmax, modes=None):
+    """Yield flat full-box index arrays (n, k, l) covering every triad k + l = n.
 
-    Exhaustive over ordered pairs: every n, k, l in the truncated active
-    lattice with k + l = n.  Blocked over n to bound peak memory.
+    `modes` holds the flat indices of the output modes n (any active mode,
+    either half-lattice); by default every mode of the truncated active
+    lattice.  k and l range over the active modes of the box.  Triads come
+    grouped by n in the order of `modes`, k ascending within a group; a
+    block holds whole groups and at most _TRIAD_BLOCK candidate pairs
+    (unless one group alone has more), which bounds peak memory.
     """
-    modes = _active_modes(dim, nmax)
-    for start in range(0, len(modes), block):
-        nblk = modes[start:start + block]
-        l = nblk[:, None, :] - modes[None, :, :]
+    full = full_modes(dim, nmax)
+    active = np.flatnonzero(full[:, 0])
+    k_modes = full[active]
+    # the flat index is affine in the mode: flat(k) + flat(l) = flat(n) + flat(0)
+    origin = flat_index(dim, nmax, np.zeros(dim, dtype=int))
+    modes = active if modes is None else np.asarray(modes).reshape(-1)
+    per_block = max(1, _TRIAD_BLOCK // active.size)
+    for start in range(0, modes.size, per_block):
+        n = modes[start:start + per_block]
+        l = full[n][:, None, :] - k_modes[None, :, :]
         ok = (np.abs(l) <= nmax).all(axis=2) & (l[:, :, 0] != 0)
-        idx_n, idx_k = np.nonzero(ok)
-        if idx_n.size:
-            yield nblk[idx_n], modes[idx_k], l[idx_n, idx_k]
+        i, j = np.nonzero(ok)
+        if i.size:
+            n_i, k_j = n[i], active[j]
+            yield n_i, k_j, n_i + origin - k_j
+
+
+def triad_sums(dim, nmax, weight, modes):
+    """Sum `weight(n, k, l)` over the triads of each of the (M, dim) int `modes`.
+
+    `weight` maps the flat index arrays of one block to per-triad values with
+    the triad axis last.  Returns its leading axes plus one entry per mode,
+    zero where a mode has no triad.
+    """
+    modes = flat_index(dim, nmax, modes)
+    # an empty block fixes the shape and dtype of the result
+    empty = np.empty(0, dtype=np.intp)
+    probe = weight(empty, empty, empty)
+    out = np.zeros(probe.shape[:-1] + (np.prod(full_shape(dim, nmax)),), dtype=probe.dtype)
+    for n, k, l in triad_blocks(dim, nmax, modes):
+        starts = np.flatnonzero(np.diff(n, prepend=-1))
+        out[..., n[starts]] = np.add.reduceat(weight(n, k, l), starts, axis=-1)
+    return out[..., modes]
 
 
 def enumerate_triads(dim, nmax):
-    """Collect every triad into single (n, k, l) arrays (desk-scale nmax only)."""
-    parts = list(triad_blocks(dim, nmax))
-    if not parts:
-        empty = np.empty((0, dim), dtype=int)
-        return empty, empty.copy(), empty.copy()
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+    """Every triad as mode arrays (n, k, l) of shape (T, dim) (desk-scale nmax only)."""
+    full = full_modes(dim, nmax)
+    blocks = list(triad_blocks(dim, nmax)) or [(np.empty(0, dtype=np.intp),) * 3]
+    return tuple(full[np.concatenate(part)] for part in zip(*blocks))
 
 
 def delta_triads(model, n, k, l):
-    """Vectorized mismatch over triad arrays of shape (T, dim)."""
-    if model.dimension == 1:
-        f = _OMEGA[model.kind]
-        args = (n[:, 0].astype(float),), (k[:, 0].astype(float),), (l[:, 0].astype(float),)
-    else:
-        f = _OMEGA[model.kind]
-        args = ((n[:, 0].astype(float), n[:, 1].astype(float)),
-                (k[:, 0].astype(float), k[:, 1].astype(float)),
-                (l[:, 0].astype(float), l[:, 1].astype(float)))
-    return f(*args[1]) + f(*args[2]) - f(*args[0])
+    """Mismatch evaluated from omega on triad mode arrays of shape (T, dim)."""
+    def om(m):
+        return _OMEGA[model.kind](*(m[:, j].astype(float) for j in range(model.dimension)))
+    return om(k) + om(l) - om(n)
 
 
 def max_abs_delta(model, nmax):
     """Largest |delta| over all triads of the truncation (oscillation budget)."""
+    om = omega_full(model, nmax).ravel()
     worst = 0.0
-    for n, k, l in triad_blocks(model.dimension, nmax, block=512):
-        d = np.abs(delta_triads(model, n, k, l))
-        if d.size:
-            worst = max(worst, float(d.max()))
+    for n, k, l in triad_blocks(model.dimension, nmax):
+        worst = max(worst, float(np.abs(om[k] + om[l] - om[n]).max()))
     return worst

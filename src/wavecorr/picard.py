@@ -22,7 +22,7 @@ import numpy as np
 from . import dispersion
 from .field import SpectralField, full_array, sobolev_norm
 from .kernels import f_kernel
-from .solver import SolverConfig, evolve, evolve_array, _transform, _model_grids
+from .solver import SolverConfig, evolve, evolve_array, interaction_rhs
 
 __all__ = [
     "first_iterate_closed_form", "first_iterate_quadrature", "default_panels",
@@ -43,48 +43,19 @@ def default_panels(model, nmax, t):
     return max(16, int(math.ceil(8.0 * abs(t) * _max_delta(model.kind, nmax) / math.pi)))
 
 
-def _mode_triad_arrays(dim, nmax, n):
-    """(k_flat, l_flat) full-box flat indices of every triad feeding mode n."""
-    grids = dispersion.full_mode_grids(dim, nmax)
-    if dim == 1:
-        k1 = grids[0]
-        l1 = int(n) - k1
-        ok = (k1 != 0) & (l1 != 0) & (np.abs(l1) <= nmax)
-        kf = np.nonzero(ok)[0]
-        lf = (l1[ok] + nmax)
-        return kf, lf
-    k1, k2 = grids
-    l1 = int(n[0]) - k1
-    l2 = int(n[1]) - k2
-    ok = (k1 != 0) & (l1 != 0) & (np.abs(l1) <= nmax) & (np.abs(l2) <= nmax)
-    side = 2 * nmax + 1
-    kf = np.nonzero(ok.ravel())[0]
-    lf = ((l1[ok] + nmax) * side + (l2[ok] + nmax))
-    return kf, lf
-
-
 def first_iterate_closed_form(u0, model, t):
     """Exact triad sum for b(t) over the truncated lattice."""
     nmax, dim = u0.nmax, u0.dimension
     if model.dimension != dim:
         raise ValueError(f"datum dimension {dim} does not match model {model.kind}")
-    a_flat = full_array(u0).ravel()
-    om_flat = dispersion.omega_full(model, nmax).ravel()
-    ph = dispersion.phi_grid(model, nmax)
-    om = dispersion.omega_grid(model, nmax)
+    a = full_array(u0).ravel()
+    om = dispersion.omega_full(model, nmax).ravel()
 
-    out = np.zeros(dispersion.stored_shape(dim, nmax), dtype=complex)
-    flat_out = out.reshape(-1)
-    om_stored = om.reshape(-1)
-    ph_stored = ph.reshape(-1)
-    for m, n in enumerate(dispersion.mode_list(dim, nmax)):
-        kf, lf = _mode_triad_arrays(dim, nmax, n)
-        if kf.size == 0:
-            continue
-        delta = om_flat[kf] + om_flat[lf] - om_stored[m]
-        flat_out[m] = -1j * ph_stored[m] * np.sum(
-            a_flat[kf] * a_flat[lf] * f_kernel(delta, t))
-    return u0.with_coeffs(out)
+    def weight(n, k, l):
+        return a[k] * a[l] * f_kernel(om[k] + om[l] - om[n], t)
+
+    sums = dispersion.triad_sums(dim, nmax, weight, dispersion.stored_modes(dim, nmax))
+    return u0.with_coeffs(-1j * dispersion.phi_grid(model, nmax) * sums.reshape(u0.coeffs.shape))
 
 
 def first_iterate_quadrature(u0, model, t, panels=None, chunk=1024):
@@ -109,17 +80,14 @@ def first_iterate_quadrature(u0, model, t, panels=None, chunk=1024):
     weights[1::2] = 4.0 * h / 6.0
     weights[0] = weights[-1] = h / 6.0
 
-    tr = _transform(dim, nmax, True)
-    om, ph = _model_grids(model, nmax)
-    shape = (1,) * dim
+    # the integrand is the solver's right-hand side at eps = 1, one tau per row
+    rhs = interaction_rhs(model, nmax)
+    rows = (-1,) + (1,) * dim
     acc = np.zeros_like(u0.coeffs)
     for start in range(0, taus.size, chunk):
-        tau = taus[start:start + chunk]
-        w = weights[start:start + chunk].reshape((-1,) + shape)
-        phase = np.exp(1j * om[None] * tau.reshape((-1,) + shape))
-        sq = tr.square(u0.coeffs[None] * phase)
-        contrib = (-1j) * ph[None] * np.conj(phase) * sq
-        acc = acc + np.sum(w * contrib, axis=0)
+        tau = taus[start:start + chunk].reshape(rows)
+        w = weights[start:start + chunk].reshape(rows)
+        acc = acc + np.sum(w * rhs(1.0, tau, u0.coeffs), axis=0)
     return u0.with_coeffs(acc)
 
 
@@ -143,7 +111,7 @@ class PicardDecomposition:
             + self.epsilon ** 2 * self.remainder.coeffs)
 
 
-def decompose(u0, model, epsilon, t, dt=2e-3, dealias=True):
+def decompose(u0, model, epsilon, t, dt=2e-3):
     """Solve, subtract the closed-form iterate, and return the decomposition."""
     if epsilon <= 0.0:
         raise ValueError("remainder extraction needs epsilon > 0")
@@ -151,15 +119,15 @@ def decompose(u0, model, epsilon, t, dt=2e-3, dealias=True):
     if t == 0.0:
         c = u0.with_coeffs(np.zeros_like(u0.coeffs))
         return PicardDecomposition(0.0, epsilon, u0, b, c)
-    config = SolverConfig(model, epsilon, min(dt, t), t, dealias)
+    config = SolverConfig(model, epsilon, min(dt, t), t)
     state = evolve(u0, config)
     c = u0.with_coeffs(
         (state.v.coeffs - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)
     return PicardDecomposition(t, epsilon, u0, b, c)
 
 
-def extract_second_remainder(u0, model, epsilon, t, dt=2e-3, dealias=True):
-    return decompose(u0, model, epsilon, t, dt, dealias).remainder
+def extract_second_remainder(u0, model, epsilon, t, dt=2e-3):
+    return decompose(u0, model, epsilon, t, dt).remainder
 
 
 def _remainder_norm_order(model):
@@ -194,7 +162,7 @@ class GrowthScan:
         return "\n".join(lines) + "\n"
 
 
-def remainder_growth_scan(u0, model, epsilon, time_grid, dt=2e-3, dealias=True):
+def remainder_growth_scan(u0, model, epsilon, time_grid, dt=2e-3):
     """Extract c along the grid from a single solve; fits a power law in t.
 
     A solver blow-up truncates the table at the failure time and flags it.
@@ -213,7 +181,7 @@ def remainder_growth_scan(u0, model, epsilon, time_grid, dt=2e-3, dealias=True):
         return scan
     final, snaps, alive, blow = evolve_array(
         model, epsilon, u0.coeffs, min(dt, min(positive)), positive[-1],
-        dealias=dealias, snapshot_times=positive)
+        snapshot_times=positive)
     died = not bool(np.all(alive))
     cutoff = float(blow) if died else math.inf
     for t_i, v_i in snaps:

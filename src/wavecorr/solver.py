@@ -7,8 +7,9 @@ variable v(t) = S(-t)u(t), which obeys
 
 The stiff linear part is handled exactly through the semigroup phases, so
 the classical RK4 step sees only the slow nonlinear dynamics and there is
-no CFL constraint from the dispersion.  Quadratic products are formed on a
-2x zero-padded grid, which makes the retained convolution exact; accuracy
+no CFL constraint from the dispersion.  Quadratic products are always
+formed on a 2x zero-padded grid, which makes the retained convolution exact
+(alias-free); accuracy
 of the nonlinear phases still requires dt * max|delta| of order one, which
 is surfaced as a warning, not enforced.
 
@@ -29,7 +30,7 @@ from .field import SpectralField, apply_semigroup
 
 __all__ = [
     "SolverConfig", "TrajectoryState", "SolverBlowUp", "StepAccuracyWarning",
-    "dealiased_square", "nonlinear_rhs", "evolve", "evolve_array",
+    "dealiased_square", "interaction_rhs", "nonlinear_rhs", "evolve", "evolve_array",
     "conserved_functional",
 ]
 
@@ -55,7 +56,6 @@ class SolverConfig:
     epsilon: float
     dt: float
     t_final: float
-    dealias: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -86,11 +86,11 @@ class TrajectoryState:
 # ---------------------------------------------------------------------------
 
 class _Transform:
-    def __init__(self, dim, nmax, dealias):
+    def __init__(self, dim, nmax):
         self.dim = dim
         self.nmax = nmax
         base = 2 * nmax + 1
-        n_grid = 2 * base if dealias else base
+        n_grid = 2 * base
         if dim == 1:
             self.sizes = (n_grid,)
             self.norm = float(n_grid)
@@ -119,29 +119,36 @@ class _Transform:
 
 
 @lru_cache(maxsize=None)
-def _transform(dim, nmax, dealias):
-    return _Transform(dim, nmax, bool(dealias))
+def _transform(dim, nmax):
+    return _Transform(dim, nmax)
 
 
 # ---------------------------------------------------------------------------
 # Right-hand side and stepping on raw arrays.
 # ---------------------------------------------------------------------------
 
-def _model_grids(model, nmax):
-    return dispersion.omega_grid(model, nmax), dispersion.phi_grid(model, nmax)
+def interaction_rhs(model, nmax):
+    """The right-hand side rhs(eps, t, v) = -eps * S(-t) J((S(t) v)^2).
+
+    `v` carries leading batch axes over the stored lattice; `t` is a scalar
+    or an array that broadcasts against `v` (one time per batch row).  The
+    transform and the multipliers are built once here, not per call.
+    """
+    tr = _transform(model.dimension, nmax)
+    om, ph = dispersion.omega_grid(model, nmax), dispersion.phi_grid(model, nmax)
+
+    def rhs(eps, t, v):
+        u = v * np.exp(1j * om * t)
+        sq = tr.square(u)
+        return (-eps) * (1j * ph) * np.exp(-1j * om * t) * sq
+    return rhs
 
 
-def _rhs_array(tr, om, ph, eps, t, v):
-    u = v * np.exp(1j * om * t)
-    sq = tr.square(u)
-    return (-eps) * (1j * ph) * np.exp(-1j * om * t) * sq
-
-
-def _rk4_step(tr, om, ph, eps, t, h, v):
-    k1 = _rhs_array(tr, om, ph, eps, t, v)
-    k2 = _rhs_array(tr, om, ph, eps, t + 0.5 * h, v + (0.5 * h) * k1)
-    k3 = _rhs_array(tr, om, ph, eps, t + 0.5 * h, v + (0.5 * h) * k2)
-    k4 = _rhs_array(tr, om, ph, eps, t + h, v + h * k3)
+def _rk4_step(rhs, eps, t, h, v):
+    k1 = rhs(eps, t, v)
+    k2 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k1)
+    k3 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k2)
+    k4 = rhs(eps, t + h, v + h * k3)
     return v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -157,8 +164,7 @@ def _delta_scale(model, nmax):
     return float(max(scale, 6.0))
 
 
-def evolve_array(model, eps, coeffs, dt, t_final, *, dealias=True,
-                 snapshot_times=(), t_start=0.0):
+def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=0.0):
     """Batched stepping core.
 
     `coeffs` carries arbitrary leading batch axes over the stored lattice.
@@ -168,8 +174,7 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, dealias=True,
     """
     dim = model.dimension
     nmax = coeffs.shape[-2] if dim == 2 else coeffs.shape[-1]
-    tr = _transform(dim, nmax, dealias)
-    om, ph = _model_grids(model, nmax)
+    rhs = interaction_rhs(model, nmax)
 
     lead = coeffs.shape[:-dim]
     v = np.array(coeffs, dtype=complex)
@@ -199,7 +204,7 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, dealias=True,
             h = span / nsteps
             for i in range(nsteps):
                 t_now = t_seg + i * h
-                v = _rk4_step(tr, om, ph, eps, t_now, h, v)
+                v = _rk4_step(rhs, eps, t_now, h, v)
                 finite = np.isfinite(v).all(axis=spectral_axes)
                 if not finite.all():
                     newly = alive & ~finite
@@ -217,23 +222,21 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, dealias=True,
 # Public field-level operations.
 # ---------------------------------------------------------------------------
 
-def dealiased_square(field, dealias=True):
+def dealiased_square(field):
     """Coefficients of the pointwise square on the stored lattice.
 
-    With padding on (the default) the result is the exact convolution for
-    every retained mode; the n1 = 0 output content (e.g. the constant part
-    of the square) is not representable and is dropped, which matches its
-    fate under the subsequent application of J.
+    The padded product is the exact convolution for every retained mode;
+    the n1 = 0 output content (e.g. the constant part of the square) is not
+    representable and is dropped, which matches its fate under the
+    subsequent application of J.
     """
-    tr = _transform(field.dimension, field.nmax, dealias)
-    return field.with_coeffs(tr.square(field.coeffs))
+    return field.with_coeffs(_transform(field.dimension, field.nmax).square(field.coeffs))
 
 
-def nonlinear_rhs(model, epsilon, t, field, dealias=True):
+def nonlinear_rhs(model, epsilon, t, field):
     """-eps * S(-t) J((S(t) v)^2) for the interaction-picture variable v."""
-    tr = _transform(field.dimension, field.nmax, dealias)
-    om, ph = _model_grids(model, field.nmax)
-    return field.with_coeffs(_rhs_array(tr, om, ph, epsilon, float(t), field.coeffs))
+    rhs = interaction_rhs(model, field.nmax)
+    return field.with_coeffs(rhs(epsilon, float(t), field.coeffs))
 
 
 def evolve(u0, config, snapshot_times=()):
@@ -254,7 +257,7 @@ def evolve(u0, config, snapshot_times=()):
             StepAccuracyWarning, stacklevel=2)
     final, snaps, alive, blow = evolve_array(
         model, config.epsilon, u0.coeffs, config.dt, config.t_final,
-        dealias=config.dealias, snapshot_times=snapshot_times)
+        snapshot_times=snapshot_times)
     if not bool(np.all(alive)):
         raise SolverBlowUp(float(blow))
     wrapped = tuple((t, SpectralField(u0.nmax, arr)) for t, arr in snaps)

@@ -43,6 +43,13 @@ class TestConfig:
         assert merged["run.t"] == [0.5, 1.0]
         assert merged["spectrum.force"] is True
 
+    @pytest.mark.parametrize("item", ["run.samples=abc", "run.epsilon=abc", "run.dt=[1]"])
+    def test_malformed_value_exits_64(self, tmp_path, item):
+        assert run_cli(tmp_path, "predict", "--set", item) == 64
+
+    def test_non_integer_rejected(self, tmp_path):
+        assert run_cli(tmp_path, "predict", "--set", "grid.nmax=2.5") == 64
+
     def test_regularity_gate_applies_to_dynamics(self, tmp_path):
         code = run_cli(tmp_path, "covariance", "--set", "model=kpii",
                        "--set", "spectrum.alpha=2.0", "--set", "run.samples=4")
@@ -146,6 +153,9 @@ class TestCovarianceCommand:
 
     def test_budget_guard(self, tmp_path):
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=1000") == 64
+
+    def test_time_list_rejected(self, tmp_path):
+        assert run_cli(tmp_path, *self.args, "--set", "run.t=[0.5,1.0]") == 64
 
     def test_invalid_report_exits_3(self, tmp_path, monkeypatch):
         real = cov.evolve_array

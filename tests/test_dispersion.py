@@ -1,5 +1,6 @@
 """Dispersion relations, triads, and the factored-formula oracles."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -149,13 +150,22 @@ class TestLattice:
         assert om[4 + 2, 4 + 1] == dsp.omega(dsp.KPII, (2, 1))
 
     def test_triad_enumeration_is_exhaustive(self):
-        n, k, l = dsp.enumerate_triads(1, 3)
-        seen = {(int(a), int(b), int(c)) for a, b, c in zip(n[:, 0], k[:, 0], l[:, 0])}
-        brute = set()
-        for a in range(-3, 4):
-            for b in range(-3, 4):
-                c = a - b
-                if a and b and c and abs(c) <= 3:
-                    brute.add((a, b, c))
-        assert seen == brute
-        assert np.all(k + l == n)
+        for dim, nmax in ((1, 1), (1, 3), (1, 7), (2, 1), (2, 2), (2, 4)):
+            n, k, l = dsp.enumerate_triads(dim, nmax)
+            seen = [tuple(a) + tuple(b) + tuple(c) for a, b, c in zip(n, k, l)]
+            box = list(itertools.product(range(-nmax, nmax + 1), repeat=dim))
+            brute = set()
+            for a in box:
+                for b in box:
+                    c = tuple(x - y for x, y in zip(a, b))
+                    if a[0] and b[0] and c[0] and max(map(abs, c)) <= nmax:
+                        brute.add(a + b + c)
+            assert len(seen) == len(set(seen)) and set(seen) == brute
+            assert np.all(k + l == n)
+        # a chosen output mode, here on the n1 < 0 half, gets exactly its triads
+        full = dsp.full_modes(2, 4)
+        target = dsp.flat_index(2, 4, np.array([-2, 1]))
+        blocks = list(dsp.triad_blocks(2, 4, [target]))
+        n, k, l = (np.concatenate(part) for part in zip(*blocks))
+        assert np.all(n == target) and np.all(full[k] + full[l] == full[n])
+        assert len(n) == sum(1 for row in set(seen) if row[:2] == (-2, 1))
