@@ -223,6 +223,11 @@ def _triads_with_delta(model, nmax):
 # resonances
 # ---------------------------------------------------------------------------
 
+# rows formatted per write; the whole KP-I nmax=16 catalog as one string
+# raised the command's peak memory from 87 MB to 249 MB
+_CSV_ROWS = 1 << 12
+
+
 def cmd_resonances(cfg):
     if cfg.nmax > 32:
         raise ConfigError("resonance enumeration is budgeted for grid.nmax <= 32")
@@ -265,19 +270,16 @@ def cmd_resonances(cfg):
                              + [n[:, c] for c in range(model.dimension - 1, -1, -1)]
                              + [np.abs(d)])) if d.size else np.empty(0, int)
 
+    cols = [m[:, c] for m in (n, k, l) for c in range(model.dimension)] + [d, np.abs(d)]
+    cols += [ratio] if ratio is not None else []
+    row = (",".join([";".join(["%d"] * model.dimension)] * 3)
+           + ",%.17g" * (len(cols) - 3 * model.dimension) + "\n")
     path = _outfile(cfg, "resonances.csv")
     with open(path, "w", encoding="utf-8") as fh:
         header = "n,k,l,delta,abs_delta" + (",bound_ratio" if ratio is not None else "")
         fh.write(header + "\n")
-        for i in order:
-            cells = [
-                ";".join(str(c) for c in n[i]),
-                ";".join(str(c) for c in k[i]),
-                ";".join(str(c) for c in l[i]),
-                f"{d[i]:.17g}", f"{abs(d[i]):.17g}"]
-            if ratio is not None:
-                cells.append(f"{ratio[i]:.17g}")
-            fh.write(",".join(cells) + "\n")
+        for rows in (order[i:i + _CSV_ROWS] for i in range(0, order.size, _CSV_ROWS)):
+            fh.write("".join(row % r for r in zip(*(c[rows].tolist() for c in cols))))
     print(f"resonances: {model.kind} nmax={cfg.nmax}: {d.size} triads -> {path}")
     print(f"resonances: {detail}")
     if alarm:

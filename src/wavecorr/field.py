@@ -171,12 +171,19 @@ def read_snapshot(path):
             data = fh.read()
     else:
         data = path.read()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"snapshot has {len(data)} bytes, fewer than its "
+                         f"{_HEADER.size}-byte header")
     tag, dim, nmax, t = _HEADER.unpack_from(data, 0)
     model = dispersion.get_model(tag.decode("ascii").strip())
     if model.dimension != dim:
         raise ValueError(f"snapshot dimension {dim} does not match model {model.kind}")
     shape = dispersion.stored_shape(dim, nmax)
     count = int(np.prod(shape))
+    expected = _HEADER.size + 16 * count
+    if len(data) != expected:
+        raise ValueError(f"snapshot for {model.kind} nmax={nmax} should have {expected} "
+                         f"bytes, got {len(data)}")
     payload = np.frombuffer(data, dtype="<f8", count=2 * count, offset=_HEADER.size)
     coeffs = (payload[0::2] + 1j * payload[1::2]).reshape(shape)
     return model, t, SpectralField(nmax, coeffs)

@@ -8,10 +8,10 @@ variable v(t) = S(-t)u(t), which obeys
 The stiff linear part is handled exactly through the semigroup phases, so
 the classical RK4 step sees only the slow nonlinear dynamics and there is
 no CFL constraint from the dispersion.  Quadratic products are always
-formed on a 2x zero-padded grid, which makes the retained convolution exact
-(alias-free); accuracy
-of the nonlinear phases still requires dt * max|delta| of order one, which
-is surfaced as a warning, not enforced.
+formed on a zero-padded grid of the smallest 5-smooth length N >= 3*nmax + 1
+per axis (the 3/2 rule), which makes the retained convolution exact
+(alias-free); accuracy of the nonlinear phases still requires
+dt * max|delta| of order one, which is surfaced as a warning, not enforced.
 
 The stepping core works on coefficient arrays with arbitrary leading batch
 axes; distinct trajectories share no mutable state.
@@ -85,37 +85,38 @@ class TrajectoryState:
 # Padded transforms (model independent, cached).
 # ---------------------------------------------------------------------------
 
+def _padded_length(nmax):
+    # The 3/2 rule: on N >= 3*nmax + 1 points no product of two retained
+    # modes wraps onto a retained mode; the smallest 5-smooth such N is fast.
+    n = 3 * nmax + 1
+    span = range(n.bit_length() + 1)
+    return min(m for m in (2**i * 3**j * 5**k for i in span for j in span for k in span)
+               if m >= n)
+
+
 class _Transform:
     def __init__(self, dim, nmax):
-        self.dim = dim
-        self.nmax = nmax
-        base = 2 * nmax + 1
-        n_grid = 2 * base
-        if dim == 1:
-            self.sizes = (n_grid,)
-            self.norm = float(n_grid)
-        else:
-            self.sizes = (n_grid, n_grid)
-            self.norm = float(n_grid) ** 2
-            cols = np.arange(1, nmax + 1)[:, None]
-            rows = np.arange(-nmax, nmax + 1)[None, :] % n_grid
-            self.rows = np.broadcast_to(rows, (nmax, base)).copy()
-            self.cols = np.broadcast_to(cols, (nmax, base)).copy()
-        self.half_shape = self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+        self.dim, self.nmax = dim, nmax
+        self.n_grid = _padded_length(nmax)
+        if dim == 2:
+            self.rows = (np.arange(-nmax, nmax + 1) % self.n_grid)[None, :]
+            self.cols = np.arange(1, nmax + 1)[:, None]
 
     def square(self, coeffs):
         """Fourier coefficients of the pointwise square, on the stored lattice."""
-        lead = coeffs.shape[:-self.dim]
-        half = np.zeros(lead + self.half_shape, dtype=complex)
+        lead, n = coeffs.shape[:-self.dim], self.n_grid
         if self.dim == 1:
-            half[..., 1:self.nmax + 1] = coeffs
-            phys = np.fft.irfft(half, n=self.sizes[0], axis=-1) * self.norm
-            spec = np.fft.rfft(phys * phys, axis=-1)
-            return spec[..., 1:self.nmax + 1] / self.norm
+            half = np.zeros(lead + (self.nmax + 1,), dtype=complex)
+            half[..., 1:] = coeffs
+            phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
+            phys *= phys
+            return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:self.nmax + 1]
+        half = np.zeros(lead + (n, self.nmax + 1), dtype=complex)
         half[..., self.rows, self.cols] = coeffs
-        phys = np.fft.irfft2(half, s=self.sizes, axes=(-2, -1)) * self.norm
-        spec = np.fft.rfft2(phys * phys, axes=(-2, -1))
-        return spec[..., self.rows, self.cols] / self.norm
+        phys = np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
+        phys *= phys
+        spec = np.fft.rfft(phys, axis=-1, norm="forward")[..., :self.nmax + 1]
+        return np.fft.fft(spec, axis=-2, norm="forward")[..., self.rows, self.cols]
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +139,9 @@ def interaction_rhs(model, nmax):
     om, ph = dispersion.omega_grid(model, nmax), dispersion.phi_grid(model, nmax)
 
     def rhs(eps, t, v):
-        u = v * np.exp(1j * om * t)
-        sq = tr.square(u)
-        return (-eps) * (1j * ph) * np.exp(-1j * om * t) * sq
+        e = np.exp(1j * om * t)
+        sq = tr.square(v * e)
+        return (-eps) * (1j * ph) * np.conj(e) * sq
     return rhs
 
 
@@ -225,10 +226,11 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
 def dealiased_square(field):
     """Coefficients of the pointwise square on the stored lattice.
 
-    The padded product is the exact convolution for every retained mode;
-    the n1 = 0 output content (e.g. the constant part of the square) is not
-    representable and is dropped, which matches its fate under the
-    subsequent application of J.
+    The product is formed on the smallest 5-smooth grid of N >= 3*nmax + 1
+    points per axis (the 3/2 rule), so it is the exact convolution for every
+    retained mode; the n1 = 0 output content (e.g. the constant part of the
+    square) is not representable and is dropped, which matches its fate
+    under the subsequent application of J.
     """
     return field.with_coeffs(_transform(field.dimension, field.nmax).square(field.coeffs))
 

@@ -124,6 +124,20 @@ class TestSnapshots:
         assert t == 1.25
         assert np.array_equal(g.coeffs, f.coeffs)
 
+    def test_truncated_payload_rejected(self):
+        buf = io.BytesIO()
+        size = fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 2, {1: 1.0}))
+        with pytest.raises(ValueError, match=f"should have {size} bytes, got {size - 8}"):
+            fld.read_snapshot(io.BytesIO(buf.getvalue()[:-8]))
+        with pytest.raises(ValueError, match="has 10 bytes, fewer than its 20-byte header"):
+            fld.read_snapshot(io.BytesIO(buf.getvalue()[:10]))
+
+    def test_trailing_bytes_rejected(self):
+        buf = io.BytesIO()
+        size = fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 2, {1: 1.0}))
+        with pytest.raises(ValueError, match=f"should have {size} bytes, got {size + 3}"):
+            fld.read_snapshot(io.BytesIO(buf.getvalue() + b"xyz"))
+
     def test_layout_is_little_endian_with_header(self):
         f = fld.field_from_modes(1, 2, {1: 1.0 + 2.0j, 2: -0.5j})
         buf = io.BytesIO()

@@ -61,13 +61,22 @@ class TestDealiasedSquare:
     def test_zero_field(self):
         assert np.all(slv.dealiased_square(fld.zero_field(2, 3)).coeffs == 0.0)
 
-    @pytest.mark.parametrize("dim,nmax", [(1, 4), (2, 3)])
-    def test_convolution_oracle(self, dim, nmax):
-        f = steep_field(dim, nmax, seed=10, rate=0.3)
+    # 3*nmax + 1 is itself 5-smooth at nmax = 3, 5, 8, where the padded grid
+    # has its minimum length; the top mode's square (mode 2*nmax) must not
+    # wrap onto a stored mode, which it would on 3*nmax points
+    @pytest.mark.parametrize("dim,nmax,modes", [
+        *(pytest.param(1, n, None, id=f"1-{n}") for n in range(1, 11)),
+        *(pytest.param(2, n, None, id=f"2-{n}") for n in range(1, 6)),
+        pytest.param(1, 5, {5: 1.0}, id="1-5-top-mode")])
+    def test_convolution_oracle(self, dim, nmax, modes):
+        if modes is None:
+            f, tol = steep_field(dim, nmax, seed=10, rate=0.3), 1e-13
+        else:
+            f, tol = fld.field_from_modes(dim, nmax, modes), 1e-14
         sq = slv.dealiased_square(f)
         ref = brute_square(f)
         worst = max(abs(fld.coefficient(sq, mode) - ref[mode]) for mode in ref)
-        assert worst < 1e-13
+        assert worst < tol
 
     def test_padding_removes_aliasing(self):
         # modes 3+4 = 7 would wrap to -2 on an unpadded 9-point grid
