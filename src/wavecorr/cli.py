@@ -210,13 +210,16 @@ def _outfile(cfg, name):
 
 
 def _triads_with_delta(model, nmax):
-    """Every triad as mode arrays (n, k, l), with delta looked up from omega_full."""
-    om = dispersion.omega_full(model, nmax).ravel()
-    n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
+    """Every triad as flat full-box index arrays (n, k, l), with delta from omega_full.
 
-    def at(m):
-        return om[dispersion.flat_index(model.dimension, nmax, m)]
-    return n, k, l, at(k) + at(l) - at(n)
+    The order is `triad_blocks`': n ascending, k ascending within each n.
+    """
+    om = dispersion.omega_full(model, nmax).ravel()
+    blocks = (list(dispersion.triad_blocks(model.dimension, nmax))
+              or [(np.empty(0, dtype=np.intp),) * 3])
+    n, k, l = (np.concatenate(part) for part in zip(*blocks))
+    del blocks  # freed before the lookups below allocate: a lower peak
+    return n, k, l, om[k] + om[l] - om[n]
 
 
 # ---------------------------------------------------------------------------
@@ -228,59 +231,80 @@ def _triads_with_delta(model, nmax):
 _CSV_ROWS = 1 << 12
 
 
+def _formatted_once(values):
+    """`%.17g` text of sorted `values`: (one text per distinct value, group of each value)."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    first = np.flatnonzero(starts)
+    # run lengths, not a cumsum of `starts`, which would first copy it to int64
+    group = np.repeat(np.arange(first.size), np.diff(first, append=values.size))
+    return ["%.17g" % v for v in values[first].tolist()], group
+
+
 def cmd_resonances(cfg):
     if cfg.nmax > 32:
         raise ConfigError("resonance enumeration is budgeted for grid.nmax <= 32")
     model = cfg.model
     n, k, l, d = _triads_with_delta(model, cfg.nmax)
+    # delta is needed only as its sign bit and |delta|, which takes its memory
+    negative = np.signbit(d)
+    abs_d = np.abs(d, out=d)
+    full = dispersion.full_modes(model.dimension, cfg.nmax)
+    # the KP-II bound and the BBM lemma read only first components
+    first = full[:, :1].astype(float)
 
+    smallest = float(abs_d.min()) if abs_d.size else math.nan
+    detail = f"min |delta| = {smallest:.17g}"
     ratio = None
-    alarm = False
-    detail = ""
     if model.kind == "kpii":
-        bound = dispersion.kpii_delta_bound(n, k, l)
-        ratio = np.abs(d) / bound
-        if d.size and float(ratio.min()) < 1.0 - 1e-12:
-            alarm = True
-            detail = f"lemma bound violated: min ratio {ratio.min():.17g}"
-        else:
-            detail = f"min |delta|/(3|n1 k1 l1|) = {float(ratio.min()) if d.size else float('nan'):.17g}"
+        ratio = abs_d / dispersion.kpii_delta_bound(first[n], first[k], first[l])
+        least = float(ratio.min()) if abs_d.size else math.nan
+        alarm = least < 1.0 - 1e-12
+        detail = (f"lemma bound violated: min ratio {least:.17g}" if alarm
+                  else f"min |delta|/(3|n1 k1 l1|) = {least:.17g}")
     elif model.kind == "bbm":
-        magnitude = dispersion.bbm_delta_lemma_magnitude(n[:, 0], k[:, 0], l[:, 0])
-        rel = np.abs(np.abs(d) - magnitude) / magnitude if d.size else np.empty(0)
-        if d.size and (float(np.min(np.abs(d))) == 0.0 or float(rel.max()) > 1e-12):
-            alarm = True
+        magnitude = dispersion.bbm_delta_lemma_magnitude(first[n, 0], first[k, 0], first[l, 0])
+        alarm = abs_d.size > 0 and (
+            smallest == 0.0 or float(np.max(np.abs(abs_d - magnitude) / magnitude)) > 1e-12)
+        if alarm:
             detail = "zero divisor or rational-formula mismatch"
-        else:
-            detail = f"min |delta| = {float(np.min(np.abs(d))) if d.size else float('nan'):.17g}"
     elif model.kind == "kdv":
-        if d.size and float(np.min(np.abs(d))) < 3.0:
-            alarm = True
+        alarm = smallest < 3.0
+        if alarm:
             detail = "zero or sub-integer divisor found"
-        else:
-            detail = f"min |delta| = {float(np.min(np.abs(d))) if d.size else float('nan'):.17g}"
     else:
-        near = int(np.sum(np.abs(d) <= cfg.resonance_threshold)) if d.size else 0
-        detail = (f"min |delta| = {float(np.min(np.abs(d))) if d.size else float('nan'):.17g}; "
-                  f"{near} triads within threshold {cfg.resonance_threshold:g}")
+        alarm = False
+        near = int(np.sum(abs_d <= cfg.resonance_threshold))
+        detail += f"; {near} triads within threshold {cfg.resonance_threshold:g}"
 
-    order = np.lexsort(tuple(col for col in
-                             [l[:, c] for c in range(model.dimension - 1, -1, -1)]
-                             + [k[:, c] for c in range(model.dimension - 1, -1, -1)]
-                             + [n[:, c] for c in range(model.dimension - 1, -1, -1)]
-                             + [np.abs(d)])) if d.size else np.empty(0, int)
-
-    cols = [m[:, c] for m in (n, k, l) for c in range(model.dimension)] + [d, np.abs(d)]
-    cols += [ratio] if ratio is not None else []
-    row = (",".join([";".join(["%d"] * model.dimension)] * 3)
-           + ",%.17g" * (len(cols) - 3 * model.dimension) + "\n")
+    # Rows go by (|delta|, n, k, l) in lexicographic label order.  Flat
+    # full-box indices are row-major over the labels, so they order as the
+    # labels do; triads arrive with n ascending and k ascending within each
+    # n, and l follows from (n, k).  A stable sort on |delta| alone therefore
+    # gives that order.
+    order = np.argsort(abs_d, kind="stable")
+    text, group = _formatted_once(abs_d[order])
+    # the signed cell is the |delta| text behind a "-" wherever the sign bit
+    # is set, which keeps "-0" for -0.0
+    signed = np.array([t + "," for t in text] + ["-" + t + "," for t in text], dtype=object)
+    absolute = np.array(text, dtype=object)
+    if ratio is not None:  # not sorted, so grouped by np.unique
+        values, ratio_group = np.unique(ratio, return_inverse=True)
+        ratios = np.array(["," + "%.17g" % v for v in values.tolist()], dtype=object)
+    labels = np.array([_mode_label(m) + "," for m in full.tolist()], dtype=object)
     path = _outfile(cfg, "resonances.csv")
     with open(path, "w", encoding="utf-8") as fh:
         header = "n,k,l,delta,abs_delta" + (",bound_ratio" if ratio is not None else "")
         fh.write(header + "\n")
-        for rows in (order[i:i + _CSV_ROWS] for i in range(0, order.size, _CSV_ROWS)):
-            fh.write("".join(row % r for r in zip(*(c[rows].tolist() for c in cols))))
-    print(f"resonances: {model.kind} nmax={cfg.nmax}: {d.size} triads -> {path}")
+        for start in range(0, order.size, _CSV_ROWS):
+            part = slice(start, start + _CSV_ROWS)
+            rows = order[part]
+            cells = (labels[n[rows]] + labels[k[rows]] + labels[l[rows]]
+                     + signed[group[part] + len(text) * negative[rows]] + absolute[group[part]])
+            if ratio is not None:
+                cells += ratios[ratio_group[rows]]
+            fh.write("".join((cells + "\n").tolist()))
+    print(f"resonances: {model.kind} nmax={cfg.nmax}: {abs_d.size} triads -> {path}")
     print(f"resonances: {detail}")
     if alarm:
         print("resonances: NO-RESONANCE ASSERTION VIOLATED", file=sys.stderr)
@@ -316,7 +340,7 @@ def cmd_covariance(cfg):
         raise ConfigError(f"covariance takes one time in run.t, got {len(cfg.times)}")
     ensemble = cfg.ensemble(gated=True)
     t = cfg.times[0]
-    grid = 2 * (2 * cfg.nmax + 1)
+    grid = solver.padded_length(cfg.nmax)
     work = cfg.samples * max(1, int(np.ceil(t / cfg.dt))) * 4 * grid ** cfg.model.dimension
     if work > cfg.budget:
         raise ConfigError(
@@ -390,14 +414,21 @@ def cmd_sample_diagnostics(cfg):
 # verify
 # ---------------------------------------------------------------------------
 
+def _triad_modes_with_delta(model, nmax):
+    """`_triads_with_delta` with the triads as (T, dim) mode arrays."""
+    n, k, l, d = _triads_with_delta(model, nmax)
+    full = dispersion.full_modes(model.dimension, nmax)
+    return full[n], full[k], full[l], d
+
+
 def _check_delta_oracles():
-    n, k, l, d = _triads_with_delta(dispersion.BBM, 12)
+    n, k, l, d = _triad_modes_with_delta(dispersion.BBM, 12)
     ref = dispersion.bbm_delta_factored(n[:, 0], k[:, 0], l[:, 0])
     worst = float(np.max(np.abs(d - ref) / np.abs(ref)))
-    n, k, l, d = _triads_with_delta(dispersion.KDV, 12)
+    n, k, l, d = _triad_modes_with_delta(dispersion.KDV, 12)
     worst = max(worst, float(np.max(np.abs(d + 3.0 * n[:, 0] * k[:, 0] * l[:, 0]))))
     for model in (dispersion.KPI, dispersion.KPII):
-        n, k, l, d = _triads_with_delta(model, 5)
+        n, k, l, d = _triad_modes_with_delta(model, 5)
         ref = dispersion.kp_delta_factored(model, n, k, l)
         worst = max(worst, float(np.max(np.abs(d - ref) / np.abs(ref))))
         if model.kind == "kpii":

@@ -43,6 +43,9 @@ class SpectralField:
         if dim not in (1, 2) or arr.shape != dispersion.stored_shape(dim, self.nmax):
             raise ValueError(
                 f"coefficient array shape {arr.shape} does not match nmax={self.nmax}")
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise ValueError(f"non-finite coefficients: {bad} of {arr.size}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -151,11 +154,8 @@ _HEADER = struct.Struct("<4sII d")
 
 def write_snapshot(path, model, t, field):
     tag = model.kind.encode("ascii").ljust(4)
-    payload = np.empty(field.coeffs.size * 2, dtype="<f8")
-    flat = field.coeffs.ravel()
-    payload[0::2] = flat.real
-    payload[1::2] = flat.imag
-    data = _HEADER.pack(tag, field.dimension, field.nmax, float(t)) + payload.tobytes()
+    payload = field.coeffs.astype("<c16").tobytes()
+    data = _HEADER.pack(tag, field.dimension, field.nmax, float(t)) + payload
     if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
         with open(path, "wb") as fh:
             fh.write(data)
@@ -184,6 +184,7 @@ def read_snapshot(path):
     if len(data) != expected:
         raise ValueError(f"snapshot for {model.kind} nmax={nmax} should have {expected} "
                          f"bytes, got {len(data)}")
-    payload = np.frombuffer(data, dtype="<f8", count=2 * count, offset=_HEADER.size)
-    coeffs = (payload[0::2] + 1j * payload[1::2]).reshape(shape)
-    return model, t, SpectralField(nmax, coeffs)
+    # complex values straight from the (real, imag) pairs: re + 1j * im would
+    # turn an imaginary -0.0 into +0.0
+    coeffs = np.frombuffer(data, dtype="<c16", count=count, offset=_HEADER.size)
+    return model, t, SpectralField(nmax, coeffs.reshape(shape))

@@ -30,8 +30,8 @@ from .field import SpectralField, apply_semigroup
 
 __all__ = [
     "SolverConfig", "TrajectoryState", "SolverBlowUp", "StepAccuracyWarning",
-    "dealiased_square", "interaction_rhs", "nonlinear_rhs", "evolve", "evolve_array",
-    "conserved_functional",
+    "padded_length", "dealiased_square", "interaction_rhs", "nonlinear_rhs",
+    "evolve", "evolve_array", "conserved_functional",
 ]
 
 
@@ -85,9 +85,12 @@ class TrajectoryState:
 # Padded transforms (model independent, cached).
 # ---------------------------------------------------------------------------
 
-def _padded_length(nmax):
-    # The 3/2 rule: on N >= 3*nmax + 1 points no product of two retained
-    # modes wraps onto a retained mode; the smallest 5-smooth such N is fast.
+def padded_length(nmax):
+    """FFT points per axis for the quadratic products of an nmax truncation.
+
+    The 3/2 rule: on N >= 3*nmax + 1 points no product of two retained
+    modes wraps onto a retained mode; the smallest 5-smooth such N is fast.
+    """
     n = 3 * nmax + 1
     span = range(n.bit_length() + 1)
     return min(m for m in (2**i * 3**j * 5**k for i in span for j in span for k in span)
@@ -97,7 +100,7 @@ def _padded_length(nmax):
 class _Transform:
     def __init__(self, dim, nmax):
         self.dim, self.nmax = dim, nmax
-        self.n_grid = _padded_length(nmax)
+        self.n_grid = padded_length(nmax)
         if dim == 2:
             self.rows = (np.arange(-nmax, nmax + 1) % self.n_grid)[None, :]
             self.cols = np.arange(1, nmax + 1)[:, None]

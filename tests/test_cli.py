@@ -11,10 +11,28 @@ from wavecorr import cli
 from wavecorr import covariance as cov
 from wavecorr import dispersion as dsp
 from wavecorr import sampling as smp
+from wavecorr import solver
 
 
 def run_cli(tmp_path, *args):
     return cli.main([*args, "--out", str(tmp_path)])
+
+
+def reference_catalog(model, nmax):
+    """resonances.csv as a 7-key lexsort and per-row %d / %.17g formatting write it."""
+    dim = model.dimension
+    n, k, l = dsp.enumerate_triads(dim, nmax)
+    om = dsp.omega_full(model, nmax).ravel()
+    d = (om[dsp.flat_index(dim, nmax, k)] + om[dsp.flat_index(dim, nmax, l)]
+         - om[dsp.flat_index(dim, nmax, n)])
+    order = np.lexsort([m[:, c] for m in (l, k, n) for c in reversed(range(dim))] + [np.abs(d)])
+    cols = [m[:, c] for m in (n, k, l) for c in range(dim)] + [d, np.abs(d)]
+    header = "n,k,l,delta,abs_delta"
+    if model.kind == "kpii":
+        cols.append(np.abs(d) / dsp.kpii_delta_bound(n, k, l))
+        header += ",bound_ratio"
+    row = ",".join([";".join(["%d"] * dim)] * 3) + ",%.17g" * (len(cols) - 3 * dim) + "\n"
+    return header + "\n" + "".join(row % r for r in zip(*(c[order].tolist() for c in cols)))
 
 
 class TestConfig:
@@ -85,6 +103,30 @@ class TestResonances:
     def test_budget_guard(self, tmp_path):
         assert run_cli(tmp_path, "resonances", "--set", "grid.nmax=40") == 64
 
+    @pytest.mark.parametrize("model,nmax", [("kdv", 12), ("bbm", 12), ("kpi", 6), ("kpii", 6),
+                                            ("kdv", 1)])
+    def test_bytes_match_row_by_row_reference(self, tmp_path, model, nmax):
+        assert run_cli(tmp_path, "resonances", "--set", f"model={model}",
+                       "--set", f"grid.nmax={nmax}") == 0
+        expected = reference_catalog(dsp.get_model(model), nmax)
+        assert (tmp_path / "resonances.csv").read_bytes() == expected.encode()
+
+    def test_negative_zero_divisor_keeps_its_sign(self, tmp_path, monkeypatch):
+        # odd modes at omega = -0.0, even ones at +0.0: two odd modes sum to
+        # an even one, so those triads have delta = -0.0 - +0.0 = -0.0
+        monkeypatch.setitem(dsp._OMEGA, "kdv", lambda n1: np.where(n1 % 2 == 1, -0.0, 0.0))
+        assert run_cli(tmp_path, "resonances", "--set", "model=kdv",
+                       "--set", "grid.nmax=12") == 2
+        text = (tmp_path / "resonances.csv").read_text()
+        assert text == reference_catalog(dsp.KDV, 12)
+        assert ",-0,0\n" in text and ",0,0\n" in text
+
+    @pytest.mark.parametrize("dim,nmax", [(1, 9), (2, 5)])
+    def test_triads_arrive_in_label_order(self, dim, nmax):
+        # the writer's single stable sort on |delta| relies on this order
+        labels = np.concatenate(dsp.enumerate_triads(dim, nmax), axis=1)
+        assert np.array_equal(np.lexsort(labels.T[::-1]), np.arange(len(labels)))
+
     def test_lemma_violation_alarms_exit_2(self, tmp_path, monkeypatch):
         # a broken dispersion relation (omega = n1) makes every KP-II triad
         # resonant: the no-resonance assertion must trip, not crash
@@ -153,6 +195,13 @@ class TestCovarianceCommand:
 
     def test_budget_guard(self, tmp_path):
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=1000") == 64
+
+    def test_budget_counts_the_padded_grid(self, tmp_path):
+        # 64 samples x 50 steps x 4 stages x N, with N = 20 points for nmax=6
+        # (3*nmax + 1 = 19 rounded up to 5-smooth), not 2*(2*nmax + 1) = 26
+        assert run_cli(tmp_path, *self.args, "--set", "run.budget=300000") == 0
+        assert run_cli(tmp_path, *self.args, "--set", "run.budget=255999") == 64
+        assert solver.padded_length(6) == 20
 
     def test_time_list_rejected(self, tmp_path):
         assert run_cli(tmp_path, *self.args, "--set", "run.t=[0.5,1.0]") == 64

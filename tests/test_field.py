@@ -31,6 +31,14 @@ class TestInvariants:
         with pytest.raises(ValueError):
             fld.SpectralField(4, np.zeros(5, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf), complex(np.nan, 0.0)])
+    def test_non_finite_rejected(self, bad):
+        coeffs = np.zeros(dsp.stored_shape(2, 2), dtype=complex)
+        coeffs[0, 1] = bad
+        coeffs[1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite coefficients: 2 of 10"):
+            fld.SpectralField(2, coeffs)
+
     def test_coeffs_immutable(self):
         f = fld.zero_field(1, 4)
         with pytest.raises(ValueError):
@@ -137,6 +145,14 @@ class TestSnapshots:
         size = fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 2, {1: 1.0}))
         with pytest.raises(ValueError, match=f"should have {size} bytes, got {size + 3}"):
             fld.read_snapshot(io.BytesIO(buf.getvalue() + b"xyz"))
+
+    def test_non_finite_payload_rejected(self):
+        buf = io.BytesIO()
+        fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 3, {1: 1.0, 2: 2.0}))
+        raw = bytearray(buf.getvalue())
+        raw[20 + 8 * 3:20 + 8 * 4] = np.array([np.nan], dtype="<f8").tobytes()  # Im of mode 2
+        with pytest.raises(ValueError, match="non-finite coefficients: 1 of 3"):
+            fld.read_snapshot(io.BytesIO(bytes(raw)))
 
     def test_layout_is_little_endian_with_header(self):
         f = fld.field_from_modes(1, 2, {1: 1.0 + 2.0j, 2: -0.5j})
