@@ -15,8 +15,8 @@ from .field import (
 )
 from .kernels import f_kernel, sinc_kernel, tilde_f_kernel
 from .picard import (
-    extract_second_remainder, first_iterate_closed_form,
-    first_iterate_quadrature, remainder_growth_scan,
+    decompose, first_iterate_closed_form, first_iterate_quadrature,
+    remainder_growth_scan,
 )
 from .sampling import (
     EnsembleConfig, NoiseLaw, SpectrumProfile, build_spectrum, complex_gaussian,
@@ -25,7 +25,7 @@ from .sampling import (
 )
 from .solver import (
     SolverBlowUp, SolverConfig, TrajectoryState, conserved_functional,
-    dealiased_square, evolve, nonlinear_rhs,
+    dealiased_square, evolve, interaction_rhs,
 )
 
 __version__ = "0.1.0"

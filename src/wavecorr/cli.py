@@ -200,10 +200,6 @@ class RunConfig:
         return sampling.EnsembleConfig(self.law, self.spectrum(gated), self.samples, self.seed)
 
 
-def _mode_label(mode):
-    return str(mode) if np.isscalar(mode) else ";".join(str(c) for c in mode)
-
-
 def _outfile(cfg, name):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg.out_dir / name
@@ -213,10 +209,14 @@ def _triads_with_delta(model, nmax):
     """Every triad as flat full-box index arrays (n, k, l), with delta from omega_full.
 
     The order is `triad_blocks`': n ascending, k ascending within each n.
+    Blocks are kept as int32 (a box index is small): once freed they leave
+    heap holes that later arrays may not reuse, so their size bounds how far
+    the command's peak memory moves with the allocator's state.
     """
     om = dispersion.omega_full(model, nmax).ravel()
-    blocks = (list(dispersion.triad_blocks(model.dimension, nmax))
-              or [(np.empty(0, dtype=np.intp),) * 3])
+    blocks = ([tuple(a.astype(np.int32) for a in block)
+               for block in dispersion.triad_blocks(model.dimension, nmax)]
+              or [(np.empty(0, dtype=np.int32),) * 3])
     n, k, l = (np.concatenate(part) for part in zip(*blocks))
     del blocks  # freed before the lookups below allocate: a lower peak
     return n, k, l, om[k] + om[l] - om[n]
@@ -291,7 +291,7 @@ def cmd_resonances(cfg):
     if ratio is not None:  # not sorted, so grouped by np.unique
         values, ratio_group = np.unique(ratio, return_inverse=True)
         ratios = np.array(["," + "%.17g" % v for v in values.tolist()], dtype=object)
-    labels = np.array([_mode_label(m) + "," for m in full.tolist()], dtype=object)
+    labels = np.array([dispersion.mode_label(m) + "," for m in full.tolist()], dtype=object)
     path = _outfile(cfg, "resonances.csv")
     with open(path, "w", encoding="utf-8") as fh:
         header = "n,k,l,delta,abs_delta" + (",bound_ratio" if ratio is not None else "")
@@ -324,7 +324,7 @@ def cmd_predict(cfg):
         fh.write("t,mode,l1,lambda_sq,g_total,envelope,warnings\n")
         for t, mode, size, lam2, g, env, flagged in rows:
             fh.write(",".join([
-                f"{t:.17g}", _mode_label(mode), str(size),
+                f"{t:.17g}", dispersion.mode_label(mode), str(size),
                 f"{lam2:.17g}", f"{g:.17g}", f"{env:.17g}",
                 "truncated-2n" if flagged else ""]) + "\n")
     print(f"predict: wrote {len(cfg.times)} time slice(s) -> {path}")

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import dispersion
+from .field import SpectralField, full_array
 from .kernels import sinc_kernel, tilde_f_kernel
 from .sampling import sample_coeff_batch
 from .solver import evolve_array
@@ -55,26 +56,12 @@ class TheoryWindowWarning(UserWarning):
 # Analytic evaluation of G.
 # ---------------------------------------------------------------------------
 
-def _lambda_sq_full(spectrum):
-    """|lambda|^2 on the full box (mirror symmetric, zero on n1 = 0)."""
-    nmax = spectrum.nmax
-    out = np.zeros(dispersion.full_shape(spectrum.dimension, nmax))
-    table_sq = spectrum.table ** 2
-    if spectrum.dimension == 1:
-        out[nmax + 1:] = table_sq
-        out[:nmax] = table_sq[::-1]
-    else:
-        out[nmax + 1:, :] = table_sq
-        out[:nmax, :] = table_sq[::-1, ::-1]
-    return out
-
-
 def _full_tables(spectrum, model):
     """omega, phi and |lambda|^2 on the flat full box."""
     nmax = spectrum.nmax
     return (dispersion.omega_full(model, nmax).ravel(),
             dispersion.phi_full(model, nmax).ravel(),
-            _lambda_sq_full(spectrum).ravel())
+            full_array(SpectralField(nmax, spectrum.lambda_sq)).real.ravel())
 
 
 def _bracket(ph, lam2, n, k, l):
@@ -122,11 +109,11 @@ def _g_values(spectrum, kurtosis, model, t, kernel, modes):
 
 
 def _single_mode(spectrum, n):
-    """One mode label as a (1, dim) int array, rejected outside the truncation."""
-    mode = np.asarray(n, dtype=int).reshape(1, -1)
-    if (mode.shape[1] != spectrum.dimension or mode[0, 0] == 0
-            or np.any(np.abs(mode) > spectrum.nmax)):
-        raise ValueError(f"mode {n!r} outside the active truncated lattice")
+    """One mode label as a (1, dim) int array, rejected outside the active truncation."""
+    nmax = spectrum.nmax
+    mode = np.array([dispersion.box_index(spectrum.dimension, nmax, n)]) - nmax
+    if mode[0, 0] == 0:
+        raise ValueError(f"mode {n!r} has zero first component (outside the active lattice)")
     return mode
 
 
@@ -192,15 +179,19 @@ def kinetic_residual(spectrum, model, resonance_threshold):
     return sums.reshape(dispersion.stored_shape(dim, nmax))
 
 
+def _decay_exponent(model, s):
+    """Power of the l1 size |n| in the decay envelope of G_n at regularity s."""
+    if model.kind == "bbm":
+        return -(2.0 + 2.0 * s if s >= 1.0 else 4.0 * s)
+    if model.kind == "kpi":
+        return 2.0 - 2.0 * s
+    return -2.0 * s
+
+
 def decay_envelope(model, n_l1, s, t):
     """Shape of the decay bound on |G_n| (constant-free envelope)."""
-    n_l1 = np.asarray(n_l1, dtype=float)
-    if model.kind == "bbm":
-        beta = 2.0 + 2.0 * s if s >= 1.0 else 4.0 * s
-        return n_l1 ** (-beta)
-    if model.kind == "kpi":
-        return float(t) ** 2 * n_l1 ** (2.0 - 2.0 * s)
-    return n_l1 ** (-2.0 * s)
+    envelope = np.asarray(n_l1, dtype=float) ** _decay_exponent(model, s)
+    return float(t) ** 2 * envelope if model.kind == "kpi" else envelope
 
 
 def prediction_table(spectrum, kurtosis, model, times):
@@ -248,27 +239,22 @@ def _merge_moments(acc, update):
     return count, mean, s
 
 
-def _offdiag_pairs(dim, nmax, cap):
+_OFFDIAG_MODES = 64  # stored modes probed for off-diagonal correlation
+
+
+def _offdiag_pairs(dim, nmax):
     """Flat stored-mode index pairs probed for off-diagonal correlation.
 
     Conjugated products run over m < n, unconjugated over m <= n (the latter
-    probe E(u_m u_n), i.e. pairs across the two half-lattices).  Modes are
-    taken in increasing l1 size up to `cap` of them.
+    probe E(u_m u_n), i.e. pairs across the two half-lattices), both in
+    row-major (m, n) order.  Modes are taken in increasing l1 size, up to
+    _OFFDIAG_MODES of them.
     """
     size = dispersion.mode_l1(dim, nmax).reshape(-1)
-    order = np.argsort(size, kind="stable")[:cap]
-    order = np.sort(order)
-    herm_m, herm_n = [], []
-    plain_m, plain_n = [], []
-    for i, mi in enumerate(order):
-        for nj in order[i:]:
-            if nj != mi:
-                herm_m.append(mi)
-                herm_n.append(nj)
-            plain_m.append(mi)
-            plain_n.append(nj)
-    return (np.array(herm_m, dtype=int), np.array(herm_n, dtype=int),
-            np.array(plain_m, dtype=int), np.array(plain_n, dtype=int))
+    order = np.sort(np.argsort(size, kind="stable")[:_OFFDIAG_MODES])
+    herm = np.triu_indices(order.size, k=1)
+    plain = np.triu_indices(order.size, k=0)
+    return order[herm[0]], order[herm[1]], order[plain[0]], order[plain[1]]
 
 
 def _covariance_batch(task):
@@ -327,21 +313,18 @@ class CovarianceReport:
     offdiag_argmax: tuple
     truncation_flags: list = dataclass_field(default_factory=list)
 
-    @staticmethod
-    def _mode_label(mode):
-        return str(mode) if np.isscalar(mode) else ";".join(str(c) for c in mode)
-
     def to_csv(self):
         lines = ["mode,lambda_sq,g_pred,mc_estimate,stderr,zscore"]
         for i, mode in enumerate(self.modes):
             lines.append(",".join([
-                self._mode_label(mode),
+                dispersion.mode_label(mode),
                 f"{self.lambda_sq[i]:.17g}", f"{self.g_pred[i]:.17g}",
                 f"{self.estimates[i]:.17g}", f"{self.stderrs[i]:.17g}",
                 f"{self.zscores[i]:.17g}"]))
         return "\n".join(lines) + "\n"
 
     def to_json(self):
+        label = dispersion.mode_label
         return json.dumps({
             "model": self.model_kind, "epsilon": self.epsilon, "t": self.t,
             "dt": self.dt, "seed": self.seed, "law": self.law_kind,
@@ -352,22 +335,21 @@ class CovarianceReport:
             "samples": self.samples, "used": self.used,
             "excluded": [{"index": i, "time": bt} for i, bt in self.excluded],
             "invalid": self.invalid,
-            "truncation_flagged_modes": [self._mode_label(m) for m in self.truncation_flags],
+            "truncation_flagged_modes": [label(m) for m in self.truncation_flags],
             "offdiagonal": {"pairs": self.offdiag_pairs,
                             "max_abs": self.offdiag_max_abs,
                             "max_abs_stderr": self.offdiag_max_stderr,
-                            "argmax": list(map(self._mode_label, self.offdiag_argmax[:2]))
+                            "argmax": list(map(label, self.offdiag_argmax[:2]))
                                       + [self.offdiag_argmax[2]]},
             "records": [{
-                "mode": self._mode_label(mode),
+                "mode": label(mode),
                 "lambda_sq": self.lambda_sq[i], "g_pred": self.g_pred[i],
                 "estimate": self.estimates[i], "stderr": self.stderrs[i],
                 "zscore": self.zscores[i]} for i, mode in enumerate(self.modes)],
         }, indent=2, default=float)
 
 
-def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128,
-                  offdiag_cap=64):
+def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128):
     """Coupled-ensemble estimate of the covariance correction at time t.
 
     Deterministic given (ensemble, batch_size): batches are fixed slices of
@@ -385,7 +367,7 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128,
             "the second-order prediction degrades",
             TheoryWindowWarning, stacklevel=2)
 
-    pairs = _offdiag_pairs(spectrum.dimension, spectrum.nmax, offdiag_cap)
+    pairs = _offdiag_pairs(spectrum.dimension, spectrum.nmax)
     tasks = [(ensemble, model, epsilon, t, dt, start,
               min(start + batch_size, ensemble.samples), pairs)
              for start in range(0, ensemble.samples, batch_size)]
@@ -479,16 +461,10 @@ class ComparisonVerdict:
         return ok
 
 
-def _decay_bound_exponent(model, s):
-    if model.kind == "bbm":
-        beta = 2.0 + 2.0 * s if s >= 1.0 else 4.0 * s
-        return -beta + 0.5
-    if model.kind == "kpi":
-        return (2.0 - 2.0 * s) + 0.5
-    return -2.0 * s + 0.5
+_MIN_SHELLS = 4  # shells (l1 sizes with a nonzero value) a decay fit needs
 
 
-def fit_decay_slope(mode_l1, values, min_shells=4):
+def fit_decay_slope(mode_l1, values):
     """Log-log slope of the per-shell max of |values| against the l1 size."""
     sizes = np.asarray(mode_l1, dtype=float).reshape(-1)
     mags = np.abs(np.asarray(values, dtype=float).reshape(-1))
@@ -496,7 +472,7 @@ def fit_decay_slope(mode_l1, values, min_shells=4):
     for size, mag in zip(sizes, mags):
         shells[size] = max(shells.get(size, 0.0), mag)
     pts = [(s, m) for s, m in sorted(shells.items()) if m > 0.0 and s > 0.0]
-    if len(pts) < min_shells:
+    if len(pts) < _MIN_SHELLS:
         return None, len(pts)
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
@@ -526,6 +502,6 @@ def compare_prediction(report, decay_fit=False, s=None):
             declared = report.effective_s - 0.5 if s is None else float(s)
             verdict.decay_skipped = False
             verdict.decay_slope = slope
-            verdict.decay_bound = _decay_bound_exponent(model, declared)
+            verdict.decay_bound = _decay_exponent(model, declared) + 0.5
             verdict.decay_ok = slope <= verdict.decay_bound
     return verdict

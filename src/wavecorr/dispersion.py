@@ -9,9 +9,10 @@ x1-mean vanishes:
     kpi    d=2   omega(n) = n1^3 + n2^2/n1      phi(n) = n1
 
 Modes live on the integer lattice with nonzero first component.  Truncated
-fields store only the half-lattice n1 >= 1 (see `field`); the helpers here
-produce coordinate grids for both the stored half and the full box.  The
-mode size |n| is always the l1 size sum_j |n_j|.
+fields store only the half-lattice n1 >= 1 (see `field`), which is rows
+nmax + 1.. of the full box |n_j| <= nmax; every stored-half table here is
+that slice of its full-box table.  The mode size |n| is always the l1
+size sum_j |n_j|.
 
 A triad is an ordered pair (k, l) with k + l = n; its pulsation mismatch is
 delta = omega(k) + omega(l) - omega(n), computed directly from omega.  The
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +36,7 @@ __all__ = [
     "omega", "phi", "delta", "omega_exact", "delta_exact",
     "bbm_delta_factored", "bbm_delta_lemma_magnitude",
     "kp_delta_factored", "kpii_delta_bound",
-    "stored_shape", "mode_grids", "mode_l1", "mode_list",
+    "stored_shape", "mode_grids", "mode_l1", "mode_list", "mode_label", "box_index",
     "stored_modes", "full_shape", "full_mode_grids", "full_modes", "flat_index",
     "omega_grid", "phi_grid", "omega_full", "phi_full",
     "triad_blocks", "triad_sums", "enumerate_triads", "delta_triads", "max_abs_delta",
@@ -221,28 +223,6 @@ def stored_shape(dim, nmax):
     return (nmax,) if dim == 1 else (nmax, 2 * nmax + 1)
 
 
-def mode_grids(dim, nmax):
-    """Component grids over the stored half-lattice, matching stored_shape."""
-    if dim == 1:
-        return (np.arange(1, nmax + 1),)
-    n1 = np.arange(1, nmax + 1)[:, None]
-    n2 = np.arange(-nmax, nmax + 1)[None, :]
-    return np.broadcast_to(n1, (nmax, 2 * nmax + 1)), np.broadcast_to(n2, (nmax, 2 * nmax + 1))
-
-
-def mode_l1(dim, nmax):
-    """l1 mode size |n| = sum_j |n_j| over the stored half-lattice."""
-    grids = mode_grids(dim, nmax)
-    return sum(np.abs(g) for g in grids)
-
-
-def mode_list(dim, nmax):
-    """Stored modes in lexicographic order: ints for d=1, (n1, n2) tuples for d=2."""
-    if dim == 1:
-        return list(range(1, nmax + 1))
-    return [(n1, n2) for n1 in range(1, nmax + 1) for n2 in range(-nmax, nmax + 1)]
-
-
 def full_shape(dim, nmax):
     """Array shape of the full box |n_j| <= nmax (first component may be 0)."""
     return (2 * nmax + 1,) if dim == 1 else (2 * nmax + 1, 2 * nmax + 1)
@@ -256,6 +236,39 @@ def full_mode_grids(dim, nmax):
     side = 2 * nmax + 1
     return (np.broadcast_to(r[:, None], (side, side)),
             np.broadcast_to(r[None, :], (side, side)))
+
+
+def mode_grids(dim, nmax):
+    """Component grids over the stored half-lattice, matching stored_shape."""
+    return tuple(g[nmax + 1:] for g in full_mode_grids(dim, nmax))
+
+
+def mode_l1(dim, nmax):
+    """l1 mode size |n| = sum_j |n_j| over the stored half-lattice."""
+    return sum(np.abs(g) for g in mode_grids(dim, nmax))
+
+
+def mode_list(dim, nmax):
+    """Stored modes in lexicographic order: ints for d=1, (n1, n2) tuples for d=2."""
+    if dim == 1:
+        return list(range(1, nmax + 1))
+    return [(n1, n2) for n1 in range(1, nmax + 1) for n2 in range(-nmax, nmax + 1)]
+
+
+def mode_label(mode):
+    """Report text of a mode: "n1" in d=1, "n1;n2" in d=2."""
+    return str(mode) if np.isscalar(mode) else ";".join(str(c) for c in mode)
+
+
+def box_index(dim, nmax, n):
+    """Full-box array index of the mode `n` (an integer for d=1, a pair for d=2);
+    ValueError for a non-integral component or a mode outside the box."""
+    comps = np.ravel(n).tolist()
+    if len(comps) != dim or not all(float(c).is_integer() for c in comps):
+        raise ValueError(f"mode {n!r} is not a point of the {dim}-d integer lattice")
+    if any(abs(c) > nmax for c in comps):
+        raise ValueError(f"mode {n!r} outside the truncation nmax={nmax}")
+    return tuple(int(c) + nmax for c in comps)
 
 
 def full_modes(dim, nmax):
@@ -274,18 +287,6 @@ def flat_index(dim, nmax, modes):
     return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)), full_shape(dim, nmax))
 
 
-def omega_grid(model, nmax):
-    """omega over the stored half-lattice."""
-    grids = tuple(g.astype(float) for g in mode_grids(model.dimension, nmax))
-    return np.asarray(_OMEGA[model.kind](*grids), dtype=float)
-
-
-def phi_grid(model, nmax):
-    """phi over the stored half-lattice."""
-    grids = tuple(g.astype(float) for g in mode_grids(model.dimension, nmax))
-    return np.asarray(_PHI[model.kind](*grids), dtype=float)
-
-
 def _full_multiplier(table, model, nmax):
     grids = tuple(g.astype(float) for g in full_mode_grids(model.dimension, nmax))
     first = grids[0]
@@ -302,6 +303,16 @@ def omega_full(model, nmax):
 def phi_full(model, nmax):
     """phi over the full box, with phi(0, n') = 0."""
     return _full_multiplier(_PHI, model, nmax)
+
+
+def omega_grid(model, nmax):
+    """omega over the stored half-lattice."""
+    return omega_full(model, nmax)[nmax + 1:]
+
+
+def phi_grid(model, nmax):
+    """phi over the stored half-lattice."""
+    return phi_full(model, nmax)[nmax + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +384,10 @@ def delta_triads(model, n, k, l):
     return om(k) + om(l) - om(n)
 
 
+@lru_cache(maxsize=None)
 def max_abs_delta(model, nmax):
-    """Largest |delta| over all triads of the truncation (oscillation budget)."""
+    """Largest |delta| over all triads of the truncation, the fastest phase
+    e^(i delta t): it bounds dt and sets the quadrature resolution (cached)."""
     om = omega_full(model, nmax).ravel()
     worst = 0.0
     for n, k, l in triad_blocks(model.dimension, nmax):

@@ -16,6 +16,7 @@ half-lattices.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -64,23 +65,14 @@ def zero_field(dim, nmax):
 
 def field_from_modes(dim, nmax, modes):
     """Build a field from {mode: coefficient}; n1 < 0 entries set the mirror."""
-    arr = np.zeros(dispersion.stored_shape(dim, nmax), dtype=complex)
+    full = np.zeros(dispersion.full_shape(dim, nmax), dtype=complex)
     for n, value in modes.items():
-        if dim == 1:
-            n1, rest = int(n), ()
-        else:
-            n1, rest = int(n[0]), (int(n[1]),)
-        if n1 == 0:
+        idx = dispersion.box_index(dim, nmax, n)
+        if idx[0] == nmax:
             raise ValueError("modes with zero first component carry no data")
-        if n1 < 0:
-            n1 = -n1
-            rest = tuple(-r for r in rest)
-            value = np.conj(value)
-        idx = (n1 - 1,) + tuple(r + nmax for r in rest)
-        if n1 > nmax or any(abs(r) > nmax for r in rest):
-            raise ValueError(f"mode {n!r} outside the truncation nmax={nmax}")
-        arr[idx] = value
-    return SpectralField(nmax, arr)
+        full[idx] = value
+        full[tuple(2 * nmax - i for i in idx)] = np.conj(value)
+    return SpectralField(nmax, full[nmax + 1:])
 
 
 def random_field(dim, nmax, rng, scale=1.0):
@@ -94,31 +86,19 @@ def random_field(dim, nmax, rng, scale=1.0):
 
 def coefficient(field, n):
     """Coefficient at any mode of the full box (conjugate mirror, zeros on n1=0)."""
-    if field.dimension == 1:
-        n1, rest = int(np.asarray(n)), ()
-    else:
-        n1, rest = int(n[0]), (int(n[1]),)
-    if abs(n1) > field.nmax or any(abs(r) > field.nmax for r in rest):
-        raise ValueError(f"mode {n!r} outside the truncation nmax={field.nmax}")
-    if n1 == 0:
-        return 0.0 + 0.0j
-    if n1 > 0:
-        idx = (n1 - 1,) + tuple(r + field.nmax for r in rest)
-        return complex(field.coeffs[idx])
-    idx = (-n1 - 1,) + tuple(-r + field.nmax for r in rest)
-    return complex(np.conj(field.coeffs[idx]))
+    return complex(full_array(field)[dispersion.box_index(field.dimension, field.nmax, n)])
 
 
 def full_array(field):
-    """Dense coefficient array over the full box, index j <-> component j - nmax."""
+    """Dense coefficient array over the full box, index j <-> component j - nmax.
+
+    Rows nmax + 1.. hold the stored half; the conjugate mirror of a mode n
+    sits at the point reflection -n, which is the flip of every axis.
+    """
     nmax = field.nmax
     out = np.zeros(dispersion.full_shape(field.dimension, nmax), dtype=complex)
-    if field.dimension == 1:
-        out[nmax + 1:] = field.coeffs
-        out[:nmax] = np.conj(field.coeffs[::-1])
-    else:
-        out[nmax + 1:, :] = field.coeffs
-        out[:nmax, :] = np.conj(field.coeffs[::-1, ::-1])
+    out[nmax + 1:] = field.coeffs
+    out[:nmax] = np.conj(np.flip(field.coeffs))
     return out
 
 
@@ -179,7 +159,7 @@ def read_snapshot(path):
     if model.dimension != dim:
         raise ValueError(f"snapshot dimension {dim} does not match model {model.kind}")
     shape = dispersion.stored_shape(dim, nmax)
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     expected = _HEADER.size + 16 * count
     if len(data) != expected:
         raise ValueError(f"snapshot for {model.kind} nmax={nmax} should have {expected} "

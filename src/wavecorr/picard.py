@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,21 +25,18 @@ from .solver import SolverConfig, evolve, evolve_array, interaction_rhs
 
 __all__ = [
     "first_iterate_closed_form", "first_iterate_quadrature", "default_panels",
-    "PicardDecomposition", "decompose", "extract_second_remainder",
+    "PicardDecomposition", "decompose",
     "GrowthScan", "remainder_growth_scan",
 ]
 
-
-@lru_cache(maxsize=None)
-def _max_delta(kind, nmax):
-    return dispersion.max_abs_delta(dispersion.MODELS[kind], nmax)
+_QUADRATURE_ROWS = 1024  # quadrature nodes per right-hand-side call; bounds its arrays
 
 
 def default_panels(model, nmax, t):
     """Enough Simpson panels to resolve the fastest oscillation e^(i delta tau)."""
     if t == 0.0:
         return 16
-    return max(16, int(math.ceil(8.0 * abs(t) * _max_delta(model.kind, nmax) / math.pi)))
+    return max(16, int(math.ceil(8.0 * abs(t) * dispersion.max_abs_delta(model, nmax) / math.pi)))
 
 
 def first_iterate_closed_form(u0, model, t):
@@ -58,7 +54,7 @@ def first_iterate_closed_form(u0, model, t):
     return u0.with_coeffs(-1j * dispersion.phi_grid(model, nmax) * sums.reshape(u0.coeffs.shape))
 
 
-def first_iterate_quadrature(u0, model, t, panels=None, chunk=1024):
+def first_iterate_quadrature(u0, model, t, panels=None):
     """Composite Simpson quadrature of -S(-tau) J((S(tau) u0)^2) over [0, t].
 
     Converges at fourth order in the panel width; the default panel count
@@ -84,9 +80,9 @@ def first_iterate_quadrature(u0, model, t, panels=None, chunk=1024):
     rhs = interaction_rhs(model, nmax)
     rows = (-1,) + (1,) * dim
     acc = np.zeros_like(u0.coeffs)
-    for start in range(0, taus.size, chunk):
-        tau = taus[start:start + chunk].reshape(rows)
-        w = weights[start:start + chunk].reshape(rows)
+    for start in range(0, taus.size, _QUADRATURE_ROWS):
+        tau = taus[start:start + _QUADRATURE_ROWS].reshape(rows)
+        w = weights[start:start + _QUADRATURE_ROWS].reshape(rows)
         acc = acc + np.sum(w * rhs(1.0, tau, u0.coeffs), axis=0)
     return u0.with_coeffs(acc)
 
@@ -126,15 +122,6 @@ def decompose(u0, model, epsilon, t, dt=2e-3):
     return PicardDecomposition(t, epsilon, u0, b, c)
 
 
-def extract_second_remainder(u0, model, epsilon, t, dt=2e-3):
-    return decompose(u0, model, epsilon, t, dt).remainder
-
-
-def _remainder_norm_order(model):
-    # BBM's natural remainder energy is H^1; the KP family (and KdV) use L^2.
-    return 1.0 if model.kind == "bbm" else 0.0
-
-
 @dataclass
 class GrowthScan:
     """Norms of the extracted remainder along a time grid."""
@@ -142,7 +129,6 @@ class GrowthScan:
     model_kind: str
     epsilon: float
     nmax: int
-    norm_order: float
     rows: list            # (t, norm) pairs
     truncated: bool = False
 
@@ -172,8 +158,9 @@ def remainder_growth_scan(u0, model, epsilon, time_grid, dt=2e-3):
     grid = sorted(set(float(t) for t in time_grid))
     if any(t < 0 for t in grid):
         raise ValueError("time grid must be nonnegative")
-    order = _remainder_norm_order(model)
-    scan = GrowthScan(model.kind, epsilon, u0.nmax, order, [])
+    # BBM's natural remainder energy is H^1; the KP family (and KdV) use L^2
+    order = 1.0 if model.kind == "bbm" else 0.0
+    scan = GrowthScan(model.kind, epsilon, u0.nmax, [])
     positive = [t for t in grid if t > 0.0]
     if 0.0 in grid:
         scan.rows.append((0.0, 0.0))

@@ -27,7 +27,7 @@ __all__ = [
     "NoiseLaw", "complex_gaussian", "random_phase", "law_from_kurtosis",
     "SpectrumProfile", "build_spectrum", "custom_spectrum",
     "EnsembleConfig", "sample_stream", "draw_noise",
-    "sample_mode_coefficient", "sample_initial_field", "sample_coeff_batch",
+    "sample_initial_field", "sample_coeff_batch",
     "MomentReport", "moment_report", "TailReport", "tail_report",
     "REGULARITY_FLOOR",
 ]
@@ -226,11 +226,6 @@ def draw_noise(law, rng, count):
     return amp * np.exp(1j * theta)
 
 
-def sample_mode_coefficient(law, rng):
-    """One draw of g from an initialized stream."""
-    return complex(draw_noise(law, rng, 1)[0])
-
-
 def sample_initial_field(config, index):
     """Datum number `index`: coefficients g_n lambda_n on the stored lattice."""
     from .field import SpectralField
@@ -335,9 +330,10 @@ class TailReport:
 
 _TAIL_QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.98, 0.99, 0.995, 0.998, 0.999)
 _MIN_EXCEEDANCES = 10
+_TAIL_BATCH = 1 << 16  # datum norms drawn at once; bounds the draw arrays
 
 
-def tail_report(config, draws, s, chunk=1 << 16):
+def tail_report(config, draws, s):
     """Exceedance ladder of the H^s datum norm and the log P vs R^2 slope.
 
     The Gaussian-type tail makes the fitted slope strictly negative; rungs
@@ -355,7 +351,7 @@ def tail_report(config, draws, s, chunk=1 << 16):
     norms = np.empty(draws)
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
+        m = min(_TAIL_BATCH, draws - done)
         g = draw_noise(config.law, rng, m * count).reshape(m, count)
         norms[done:done + m] = np.sqrt(
             2.0 * np.sum(weight * np.abs(g * spec.table.ravel()) ** 2, axis=1))

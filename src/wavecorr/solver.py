@@ -30,7 +30,7 @@ from .field import SpectralField, apply_semigroup
 
 __all__ = [
     "SolverConfig", "TrajectoryState", "SolverBlowUp", "StepAccuracyWarning",
-    "padded_length", "dealiased_square", "interaction_rhs", "nonlinear_rhs",
+    "padded_length", "dealiased_square", "interaction_rhs",
     "evolve", "evolve_array", "conserved_functional",
 ]
 
@@ -156,18 +156,6 @@ def _rk4_step(rhs, eps, t, h, v):
     return v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _delta_scale(model, nmax):
-    # Coarse bound on max |delta| over the truncation; only used for warnings
-    # and default quadrature resolutions.
-    if model.kind == "bbm":
-        return 1.0
-    a = nmax // 2
-    scale = 3.0 * a * (nmax - a) * nmax
-    if model.dimension == 2:
-        scale += 2.0 * nmax * nmax
-    return float(max(scale, 6.0))
-
-
 def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=0.0):
     """Batched stepping core.
 
@@ -238,12 +226,6 @@ def dealiased_square(field):
     return field.with_coeffs(_transform(field.dimension, field.nmax).square(field.coeffs))
 
 
-def nonlinear_rhs(model, epsilon, t, field):
-    """-eps * S(-t) J((S(t) v)^2) for the interaction-picture variable v."""
-    rhs = interaction_rhs(model, field.nmax)
-    return field.with_coeffs(rhs(epsilon, float(t), field.coeffs))
-
-
 def evolve(u0, config, snapshot_times=()):
     """Integrate to t_final; returns the trajectory state (plus snapshots).
 
@@ -254,10 +236,11 @@ def evolve(u0, config, snapshot_times=()):
     model = config.model
     if model.dimension != u0.dimension:
         raise ValueError(f"datum dimension {u0.dimension} does not match model {model.kind}")
-    if config.dt * _delta_scale(model, u0.nmax) > 3.0 and config.epsilon > 0:
+    fastest = dispersion.max_abs_delta(model, u0.nmax) if config.epsilon > 0 else 0.0
+    if config.dt * fastest > 3.0:
         warnings.warn(
             f"dt={config.dt:g} under-resolves the fastest nonlinear phase of "
-            f"the nmax={u0.nmax} truncation (scale ~{_delta_scale(model, u0.nmax):.0f}); "
+            f"the nmax={u0.nmax} truncation (max |delta| = {fastest:.6g}); "
             "expect degraded accuracy on the highest modes",
             StepAccuracyWarning, stacklevel=2)
     final, snaps, alive, blow = evolve_array(

@@ -109,7 +109,7 @@ def test_4_remainder_consistency():
     for model, dim, nmax, rate, dt in ((dsp.BBM, 1, 16, 0.5, 2e-3),
                                        (dsp.KPII, 2, 8, 0.8, 1e-3)):
         u0 = decaying_datum(dim, nmax, seed=11, rate=rate)
-        c = {eps: pic.extract_second_remainder(u0, model, eps, 1.0, dt=dt).coeffs
+        c = {eps: pic.decompose(u0, model, eps, 1.0, dt=dt).remainder.coeffs
              for eps in (0.1, 0.05, 0.025, 0.0125)}
         diffs = [float(np.linalg.norm(c[e] - c[e / 2])) for e in (0.1, 0.05, 0.025)]
         ratios = [diffs[i] / diffs[i + 1] for i in range(2)]

@@ -92,6 +92,17 @@ class TestGEvaluator:
         with pytest.raises(ValueError):
             cov.g_total(0, spec, 2.0, dsp.KDV, 1.0)
 
+    def test_non_integral_mode_rejected(self):
+        spec, spec2 = sobolev(3.0, 4), sobolev(4.0, 3, dim=2)
+        for evaluate in (cov.g_total, cov.g_rate):
+            with pytest.raises(ValueError, match="integer lattice"):
+                evaluate(2.5, spec, 2.0, dsp.KDV, 1.0)
+            with pytest.raises(ValueError, match="integer lattice"):
+                evaluate((1, 0.5), spec2, 2.0, dsp.KPII, 1.0)
+        with pytest.raises(ValueError, match="integer lattice"):
+            cov.g_total_terms(1.5, spec, 2.0, dsp.KDV, 1.0)
+        assert cov.g_total(2.0, spec, 2.0, dsp.KDV, 1.0) == cov.g_total(2, spec, 2.0, dsp.KDV, 1.0)
+
 
 class TestKineticResidual:
     def test_no_resonance_models_are_empty_sums(self):

@@ -1,6 +1,7 @@
 """Spectral field invariants, linear operators, and snapshot IO."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ class TestInvariants:
     def test_zero_column_modes_carry_no_data(self):
         with pytest.raises(ValueError):
             fld.field_from_modes(2, 3, {(0, 1): 1.0})
+
+    @pytest.mark.parametrize("dim,mode", [(1, 2.5), (1, -2.7), (2, (1, 0.5)), (2, (1.5, 1))])
+    def test_non_integral_mode_rejected_by_field_from_modes(self, dim, mode):
+        with pytest.raises(ValueError, match="integer lattice"):
+            fld.field_from_modes(dim, 4, {mode: 1.0})
+
+    @pytest.mark.parametrize("dim,mode", [(1, 2.7), (1, -1.5), (2, (2, 0.5)), (2, (0.5, 1))])
+    def test_non_integral_mode_rejected_by_coefficient(self, dim, mode):
+        f = fld.random_field(dim, 4, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="integer lattice"):
+            fld.coefficient(f, mode)
+
+    def test_integral_float_labels_are_modes(self):
+        f = fld.field_from_modes(2, 3, {(2.0, -1.0): 1.0 + 1.0j})
+        assert fld.coefficient(f, (2, -1)) == fld.coefficient(f, (2.0, -1.0)) == 1.0 + 1.0j
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -145,6 +161,14 @@ class TestSnapshots:
         size = fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 2, {1: 1.0}))
         with pytest.raises(ValueError, match=f"should have {size} bytes, got {size + 3}"):
             fld.read_snapshot(io.BytesIO(buf.getvalue() + b"xyz"))
+
+    def test_huge_header_reports_exact_byte_count(self):
+        # 16 * nmax * (2 nmax + 1) overflows int64 for this nmax
+        nmax = 2**32 - 1
+        header = struct.pack("<4sII d", b"kpi ", 2, nmax, 0.0)
+        expected = 20 + 16 * nmax * (2 * nmax + 1)
+        with pytest.raises(ValueError, match=f"should have {expected} bytes, got 20"):
+            fld.read_snapshot(io.BytesIO(header))
 
     def test_non_finite_payload_rejected(self):
         buf = io.BytesIO()

@@ -107,7 +107,7 @@ class TestFirstHarmonic:
 
 class TestRemainder:
     def test_zero_datum(self):
-        c = pic.extract_second_remainder(fld.zero_field(1, 6), dsp.BBM, 0.1, 1.0)
+        c = pic.decompose(fld.zero_field(1, 6), dsp.BBM, 0.1, 1.0).remainder
         assert np.all(c.coeffs == 0.0)
 
     def test_decomposition_reconstructs_solution(self):
@@ -120,7 +120,7 @@ class TestRemainder:
     def test_epsilon_consistency(self):
         # c(eps) - c(eps/2) shrinks linearly in eps (Richardson with eps/4)
         u0 = smooth_field(1, 8, seed=7)
-        cs = {e: pic.extract_second_remainder(u0, dsp.BBM, e, 1.0, dt=2e-3).coeffs
+        cs = {e: pic.decompose(u0, dsp.BBM, e, 1.0, dt=2e-3).remainder.coeffs
               for e in (0.2, 0.1, 0.05)}
         d1 = np.linalg.norm(cs[0.2] - cs[0.1])
         d2 = np.linalg.norm(cs[0.1] - cs[0.05])
@@ -129,7 +129,7 @@ class TestRemainder:
 
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
-            pic.extract_second_remainder(smooth_field(1, 4, 8), dsp.BBM, 0.0, 1.0)
+            pic.decompose(smooth_field(1, 4, 8), dsp.BBM, 0.0, 1.0)
 
     def test_bbm_remainder_stable_under_grid_refinement(self):
         # same smooth datum embedded in two truncations: the scaled H^1 size
@@ -140,7 +140,7 @@ class TestRemainder:
             wide = np.zeros(nmax, dtype=complex)
             wide[:6] = base.coeffs
             u0 = fld.SpectralField(nmax, wide)
-            c = pic.extract_second_remainder(u0, dsp.BBM, 0.05, 1.0, dt=2e-3)
+            c = pic.decompose(u0, dsp.BBM, 0.05, 1.0, dt=2e-3).remainder
             sizes[nmax] = fld.sobolev_norm(c, 1.0) / fld.sobolev_norm(u0, 1.0) ** 3
         assert np.isfinite(sizes[8]) and sizes[8] > 0
         assert sizes[12] == pytest.approx(sizes[8], rel=1e-4)

@@ -1,13 +1,17 @@
-"""Property tests: bit-exact snapshot round trips and the Hermitian mirror."""
+"""Property tests: snapshot round trips, the Hermitian mirror, the semigroup,
+kernel continuity and batch-row independence of the stepper."""
 
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavecorr import dispersion as dsp
 from wavecorr import field as fld
+from wavecorr import kernels as krn
+from wavecorr import solver as slv
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -78,3 +82,64 @@ def test_hermitian_round_trip(case):
     assert not np.any(full[nmax])
     # nothing but the given modes and their mirrors is set
     assert np.count_nonzero(field.coeffs) == sum(1 for v in modes.values() if v != 0)
+
+
+def models_of(dim):
+    return st.sampled_from([m for m in dsp.MODELS.values() if m.dimension == dim])
+
+
+@st.composite
+def moderate_fields(draw, nmax_1d=6, nmax_2d=4):
+    """A field of either dimension with coefficients of order one or smaller."""
+    dim = draw(st.sampled_from([1, 2]))
+    nmax = draw(st.integers(1, nmax_1d if dim == 1 else nmax_2d))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return fld.random_field(dim, nmax, np.random.default_rng(seed))
+
+
+times = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@PROPERTY
+@given(moderate_fields(), times, times, st.floats(0.0, 3.0), st.data())
+def test_semigroup_group_law_and_norm_invariance(field, t1, t2, s, data):
+    model = data.draw(models_of(field.dimension))
+    once = fld.apply_semigroup(model, field, t1 + t2)
+    twice = fld.apply_semigroup(model, fld.apply_semigroup(model, field, t1), t2)
+    scale = np.max(np.abs(field.coeffs))
+    # phases reach |omega t| ~ 4e3 rad, whose rounding alone is ~1e-12
+    assert np.max(np.abs(once.coeffs - twice.coeffs)) <= 1e-11 * scale
+    norm = fld.sobolev_norm(field, s)
+    assert fld.sobolev_norm(once, s) == pytest.approx(norm, rel=1e-13)
+
+
+@PROPERTY
+@given(st.floats(1e-3, 1e3), st.booleans(), st.sampled_from([1.0, -1.0]))
+def test_kernels_continuous_across_degenerate_phase(t, negative_t, sign):
+    t = -t if negative_t else t
+    # |delta * t| just below (series branch) and just above the switch; the
+    # branches agree to a few ulp (at most 5e-16 relative over a dense t grid)
+    below = sign * krn.DEGENERATE_PHASE * (1.0 - 1e-12) / abs(t)
+    above = sign * krn.DEGENERATE_PHASE * (1.0 + 1e-12) / abs(t)
+    assert abs(below * t) < krn.DEGENERATE_PHASE <= abs(above * t)
+    for kernel in (krn.f_kernel, krn.sinc_kernel, krn.tilde_f_kernel):
+        lo, hi = kernel(below, t), kernel(above, t)
+        assert abs(lo - hi) <= 4e-15 * abs(hi), kernel.__name__
+
+
+@PROPERTY
+@given(moderate_fields(nmax_1d=5, nmax_2d=3), st.integers(1, 4), st.data())
+def test_batch_rows_solve_bitwise_alone(field, rows, data):
+    model = data.draw(models_of(field.dimension))
+    eps = data.draw(st.floats(0.0, 1.0))
+    dt = data.draw(st.floats(1e-3, 5e-2))
+    t_final = dt * data.draw(st.integers(1, 4))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
+    batch = np.stack([field.coeffs] + [
+        fld.random_field(field.dimension, field.nmax, np.random.default_rng(seed)).coeffs
+        for seed in seeds])
+    final, _, alive, _ = slv.evolve_array(model, eps, batch, dt, t_final)
+    for row in range(batch.shape[0]):
+        alone, _, alive_alone, _ = slv.evolve_array(model, eps, batch[row:row + 1], dt, t_final)
+        assert alive[row] == alive_alone[0]
+        assert np.array_equal(bits(final[row]), bits(alone[0]))

@@ -135,8 +135,8 @@ class TestEnsembles:
 
     def test_single_coefficient_draw(self):
         law = smp.complex_gaussian()
-        g = smp.sample_mode_coefficient(law, smp.sample_stream(8, 2))
-        again = smp.sample_mode_coefficient(law, smp.sample_stream(8, 2))
+        g = smp.draw_noise(law, smp.sample_stream(8, 2), 1)[0]
+        again = smp.draw_noise(law, smp.sample_stream(8, 2), 1)[0]
         assert isinstance(g, complex)
         assert g == again
 

@@ -1,6 +1,7 @@
 """Dealiased products, the interaction-picture right-hand side, and RK4."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -88,14 +89,14 @@ class TestDealiasedSquare:
 class TestNonlinearRhs:
     def test_zero_epsilon(self):
         f = steep_field(1, 6, seed=1)
-        out = slv.nonlinear_rhs(dsp.KDV, 0.0, 0.3, f)
-        assert np.all(out.coeffs == 0.0)
+        out = slv.interaction_rhs(dsp.KDV, 6)(0.0, 0.3, f.coeffs)
+        assert np.all(out == 0.0)
 
     def test_time_zero_matches_minus_eps_j_square(self):
         f = steep_field(2, 3, seed=2)
-        got = slv.nonlinear_rhs(dsp.KPII, 0.25, 0.0, f)
+        got = slv.interaction_rhs(dsp.KPII, 3)(0.25, 0.0, f.coeffs)
         ref = fld.apply_j(dsp.KPII, slv.dealiased_square(f))
-        assert np.max(np.abs(got.coeffs + 0.25 * ref.coeffs)) < 1e-14
+        assert np.max(np.abs(got + 0.25 * ref.coeffs)) < 1e-14
 
     @pytest.mark.parametrize("model", [dsp.KDV, dsp.BBM, dsp.KPII, dsp.KPI])
     def test_modewise_triad_sum(self, model):
@@ -104,7 +105,7 @@ class TestNonlinearRhs:
         nm = 4 if dim == 1 else 3
         f = steep_field(dim, nm, seed=3, rate=0.3)
         eps, t = 0.7, 0.4
-        out = slv.nonlinear_rhs(model, eps, t, f)
+        out = f.with_coeffs(slv.interaction_rhs(model, nm)(eps, t, f.coeffs))
         dense = fld.full_array(f)
         worst = 0.0
         for mode in dsp.mode_list(dim, nm):
@@ -172,6 +173,21 @@ class TestEvolve:
         u0 = steep_field(1, 16, seed=8)
         with pytest.warns(slv.StepAccuracyWarning):
             slv.evolve(u0, slv.SolverConfig(dsp.KDV, 0.5, 0.05, 0.1))
+
+
+    # KP-II nmax=8: the largest triad divisor is |delta| = 416
+    @pytest.mark.parametrize("factor,warns", [(0.99, False), (1.01, True)])
+    def test_step_warning_threshold_is_exact(self, factor, warns):
+        assert dsp.max_abs_delta(dsp.KPII, 8) == 416.0
+        u0 = steep_field(2, 8, seed=9)
+        dt = factor * 3.0 / 416.0
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            slv.evolve(u0, slv.SolverConfig(dsp.KPII, 0.1, dt, dt))
+        flagged = [r for r in rec if issubclass(r.category, slv.StepAccuracyWarning)]
+        assert len(flagged) == int(warns)
+        if warns:
+            assert "max |delta| = 416" in str(flagged[0].message)
 
 
 class TestConservedFunctional:
