@@ -11,7 +11,7 @@ from .dispersion import (
 )
 from .field import (
     SpectralField, apply_j, apply_semigroup, coefficient, field_from_modes,
-    full_array, l2_norm, read_snapshot, sobolev_norm, write_snapshot, zero_field,
+    full_array, l2_norm, sobolev_norm, zero_field,
 )
 from .kernels import f_kernel, sinc_kernel, tilde_f_kernel
 from .picard import (
@@ -24,8 +24,8 @@ from .sampling import (
     tail_report,
 )
 from .solver import (
-    SolverBlowUp, SolverConfig, TrajectoryState, conserved_functional,
-    dealiased_square, evolve, interaction_rhs,
+    SolverBlowUp, conserved_functional, dealiased_square, evolve_array,
+    interaction_rhs,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ statistical report, 64 configuration error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -485,7 +486,6 @@ def _check_dealias():
         for mode in dispersion.mode_list(dim, nm):
             tup = (mode,) if dim == 1 else mode
             total = 0.0 + 0.0j
-            import itertools
             for kc in itertools.product(range(-nm, nm + 1), repeat=dim):
                 lc = tuple(x - y for x, y in zip(tup, kc))
                 if kc[0] == 0 or lc[0] == 0 or any(abs(x) > nm for x in lc):

@@ -16,8 +16,6 @@ half-lattices.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,7 @@ from . import dispersion
 __all__ = [
     "SpectralField", "zero_field", "field_from_modes", "random_field",
     "coefficient", "full_array", "apply_semigroup", "apply_j",
-    "sobolev_norm", "l2_norm", "write_snapshot", "read_snapshot",
+    "sobolev_norm", "l2_norm",
 ]
 
 
@@ -121,50 +119,3 @@ def sobolev_norm(field, s):
 
 def l2_norm(field):
     return sobolev_norm(field, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Snapshot serialization: little-endian header (4-byte model tag, uint32
-# dimension, uint32 nmax, float64 time) followed by the stored coefficients
-# in lexicographic mode order as (real, imag) float64 pairs.
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<4sII d")
-
-
-def write_snapshot(path, model, t, field):
-    tag = model.kind.encode("ascii").ljust(4)
-    payload = field.coeffs.astype("<c16").tobytes()
-    data = _HEADER.pack(tag, field.dimension, field.nmax, float(t)) + payload
-    if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
-        with open(path, "wb") as fh:
-            fh.write(data)
-    else:
-        path.write(data)
-    return len(data)
-
-
-def read_snapshot(path):
-    """Read a snapshot; returns (model, t, field)."""
-    if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
-        with open(path, "rb") as fh:
-            data = fh.read()
-    else:
-        data = path.read()
-    if len(data) < _HEADER.size:
-        raise ValueError(f"snapshot has {len(data)} bytes, fewer than its "
-                         f"{_HEADER.size}-byte header")
-    tag, dim, nmax, t = _HEADER.unpack_from(data, 0)
-    model = dispersion.get_model(tag.decode("ascii").strip())
-    if model.dimension != dim:
-        raise ValueError(f"snapshot dimension {dim} does not match model {model.kind}")
-    shape = dispersion.stored_shape(dim, nmax)
-    count = math.prod(shape)
-    expected = _HEADER.size + 16 * count
-    if len(data) != expected:
-        raise ValueError(f"snapshot for {model.kind} nmax={nmax} should have {expected} "
-                         f"bytes, got {len(data)}")
-    # complex values straight from the (real, imag) pairs: re + 1j * im would
-    # turn an imaginary -0.0 into +0.0
-    coeffs = np.frombuffer(data, dtype="<c16", count=count, offset=_HEADER.size)
-    return model, t, SpectralField(nmax, coeffs.reshape(shape))

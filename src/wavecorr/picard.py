@@ -21,7 +21,7 @@ import numpy as np
 from . import dispersion
 from .field import SpectralField, full_array, sobolev_norm
 from .kernels import f_kernel
-from .solver import SolverConfig, evolve, evolve_array, interaction_rhs
+from .solver import SolverBlowUp, evolve_array, interaction_rhs
 
 __all__ = [
     "first_iterate_closed_form", "first_iterate_quadrature", "default_panels",
@@ -108,17 +108,20 @@ class PicardDecomposition:
 
 
 def decompose(u0, model, epsilon, t, dt=2e-3):
-    """Solve, subtract the closed-form iterate, and return the decomposition."""
+    """Solve, subtract the closed-form iterate, and return the decomposition.
+
+    Raises SolverBlowUp when the trajectory loses finiteness.
+    """
     if epsilon <= 0.0:
         raise ValueError("remainder extraction needs epsilon > 0")
     b = first_iterate_closed_form(u0, model, t)
     if t == 0.0:
         c = u0.with_coeffs(np.zeros_like(u0.coeffs))
         return PicardDecomposition(0.0, epsilon, u0, b, c)
-    config = SolverConfig(model, epsilon, min(dt, t), t)
-    state = evolve(u0, config)
-    c = u0.with_coeffs(
-        (state.v.coeffs - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)
+    final, _, alive, blow = evolve_array(model, epsilon, u0.coeffs, min(dt, t), t)
+    if not alive:
+        raise SolverBlowUp(float(blow))
+    c = u0.with_coeffs((final - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)
     return PicardDecomposition(t, epsilon, u0, b, c)
 
 

@@ -20,18 +20,16 @@ axes; distinct trajectories share no mutable state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
 
 from . import dispersion
-from .field import SpectralField, apply_semigroup
 
 __all__ = [
-    "SolverConfig", "TrajectoryState", "SolverBlowUp", "StepAccuracyWarning",
+    "SolverBlowUp", "StepAccuracyWarning",
     "padded_length", "dealiased_square", "interaction_rhs",
-    "evolve", "evolve_array", "conserved_functional",
+    "evolve_array", "conserved_functional",
 ]
 
 
@@ -46,39 +44,6 @@ class SolverBlowUp(RuntimeError):
 
 class StepAccuracyWarning(UserWarning):
     """dt does not resolve the fastest nonlinear phase of the truncation."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Integration parameters; epsilon = 0 degenerates to free evolution."""
-
-    model: dispersion.DispersionModel
-    epsilon: float
-    dt: float
-    t_final: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if self.t_final > 0.0 and self.dt > self.t_final * (1.0 + 1e-12):
-            raise ValueError("dt must not exceed t_final")
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    """Interaction-picture state; the physical field is S(t) v, never stored."""
-
-    model: dispersion.DispersionModel
-    time: float
-    v: SpectralField
-    snapshots: tuple = dataclass_field(default_factory=tuple)
-
-    def physical(self):
-        return apply_semigroup(self.model, self.v, self.time)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +122,37 @@ def _rk4_step(rhs, eps, t, h, v):
 
 
 def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=0.0):
-    """Batched stepping core.
+    """Integrate the interaction-picture equation from t_start to t_final.
 
-    `coeffs` carries arbitrary leading batch axes over the stored lattice.
-    Returns (final, snaps, alive, blow_time): `snaps` is a list of
-    (time, array) pairs, `alive` a boolean batch mask, `blow_time` the time
-    at which each dead trajectory lost finiteness (nan when alive).
+    The one solve entry point.  `coeffs` carries arbitrary leading batch
+    axes over the stored lattice.  Returns (final, snaps, alive, blow_time):
+    `snaps` is a list of (time, array) pairs, hit exactly by shortening
+    steps, `alive` a boolean batch mask, `blow_time` the time at which each
+    dead trajectory lost finiteness (nan when alive).  Raises ValueError for
+    a final time before the start, a step that is not a positive finite
+    number, or coefficients whose trailing shape is not the model's stored
+    lattice; warns when dt under-resolves the fastest nonlinear phase.
     """
+    if t_final < t_start:
+        raise ValueError(f"t_final={t_final} precedes t_start={t_start}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a positive finite number, got {dt}")
     dim = model.dimension
-    nmax = coeffs.shape[-2] if dim == 2 else coeffs.shape[-1]
+    shape = np.shape(coeffs)
+    nmax = shape[-dim] if len(shape) >= dim else 0
+    if len(shape) < dim or shape[-dim:] != dispersion.stored_shape(dim, nmax):
+        raise ValueError(f"coefficient shape {shape} does not end in a stored "
+                         f"lattice of model {model.kind}")
+    fastest = dispersion.max_abs_delta(model, nmax) if eps != 0 else 0.0
+    if dt * fastest > 3.0:
+        warnings.warn(
+            f"dt={dt:g} under-resolves the fastest nonlinear phase of "
+            f"the nmax={nmax} truncation (max |delta| = {fastest:.6g}); "
+            "expect degraded accuracy on the highest modes",
+            StepAccuracyWarning, stacklevel=2)
     rhs = interaction_rhs(model, nmax)
 
-    lead = coeffs.shape[:-dim]
+    lead = shape[:-dim]
     v = np.array(coeffs, dtype=complex)
     alive = np.ones(lead, dtype=bool)
     blow_time = np.full(lead, np.nan)
@@ -224,32 +208,6 @@ def dealiased_square(field):
     under the subsequent application of J.
     """
     return field.with_coeffs(_transform(field.dimension, field.nmax).square(field.coeffs))
-
-
-def evolve(u0, config, snapshot_times=()):
-    """Integrate to t_final; returns the trajectory state (plus snapshots).
-
-    Raises SolverBlowUp when coefficients lose finiteness.  Snapshot times
-    are hit exactly by shortening steps; states between snapshots are not
-    retained.
-    """
-    model = config.model
-    if model.dimension != u0.dimension:
-        raise ValueError(f"datum dimension {u0.dimension} does not match model {model.kind}")
-    fastest = dispersion.max_abs_delta(model, u0.nmax) if config.epsilon > 0 else 0.0
-    if config.dt * fastest > 3.0:
-        warnings.warn(
-            f"dt={config.dt:g} under-resolves the fastest nonlinear phase of "
-            f"the nmax={u0.nmax} truncation (max |delta| = {fastest:.6g}); "
-            "expect degraded accuracy on the highest modes",
-            StepAccuracyWarning, stacklevel=2)
-    final, snaps, alive, blow = evolve_array(
-        model, config.epsilon, u0.coeffs, config.dt, config.t_final,
-        snapshot_times=snapshot_times)
-    if not bool(np.all(alive)):
-        raise SolverBlowUp(float(blow))
-    wrapped = tuple((t, SpectralField(u0.nmax, arr)) for t, arr in snaps)
-    return TrajectoryState(model, config.t_final, SpectralField(u0.nmax, final), wrapped)
 
 
 def conserved_functional(model, physical_field):

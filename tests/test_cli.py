@@ -203,6 +203,15 @@ class TestCovarianceCommand:
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=255999") == 64
         assert solver.padded_length(6) == 20
 
+    def test_coarse_default_step_warns(self, tmp_path):
+        # KdV nmax=16 at the default run.dt=2e-3: dt * max|delta| = 6.1 > 3
+        assert cli.DEFAULTS["run.dt"] == 2e-3
+        with pytest.warns(solver.StepAccuracyWarning, match="max \\|delta\\| = 3072"):
+            code = run_cli(tmp_path, "covariance", "--set", "model=kdv",
+                           "--set", "grid.nmax=16", "--set", "run.samples=4",
+                           "--set", "run.t=0.1")
+        assert code == 0
+
     def test_time_list_rejected(self, tmp_path):
         assert run_cli(tmp_path, *self.args, "--set", "run.t=[0.5,1.0]") == 64
 

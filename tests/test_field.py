@@ -1,7 +1,4 @@
-"""Spectral field invariants, linear operators, and snapshot IO."""
-
-import io
-import struct
+"""Spectral field invariants and linear operators."""
 
 import numpy as np
 import pytest
@@ -135,57 +132,3 @@ class TestApplyJ:
         dense = fld.full_array(fld.apply_j(dsp.BBM, f))
         phys = np.fft.ifft(np.fft.ifftshift(dense)) * dense.size
         assert np.max(np.abs(phys.imag)) < 1e-13
-
-
-class TestSnapshots:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        f = fld.random_field(2, 4, rng)
-        path = tmp_path / "state.snap"
-        fld.write_snapshot(path, dsp.KPI, 1.25, f)
-        model, t, g = fld.read_snapshot(path)
-        assert model is dsp.KPI
-        assert t == 1.25
-        assert np.array_equal(g.coeffs, f.coeffs)
-
-    def test_truncated_payload_rejected(self):
-        buf = io.BytesIO()
-        size = fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 2, {1: 1.0}))
-        with pytest.raises(ValueError, match=f"should have {size} bytes, got {size - 8}"):
-            fld.read_snapshot(io.BytesIO(buf.getvalue()[:-8]))
-        with pytest.raises(ValueError, match="has 10 bytes, fewer than its 20-byte header"):
-            fld.read_snapshot(io.BytesIO(buf.getvalue()[:10]))
-
-    def test_trailing_bytes_rejected(self):
-        buf = io.BytesIO()
-        size = fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 2, {1: 1.0}))
-        with pytest.raises(ValueError, match=f"should have {size} bytes, got {size + 3}"):
-            fld.read_snapshot(io.BytesIO(buf.getvalue() + b"xyz"))
-
-    def test_huge_header_reports_exact_byte_count(self):
-        # 16 * nmax * (2 nmax + 1) overflows int64 for this nmax
-        nmax = 2**32 - 1
-        header = struct.pack("<4sII d", b"kpi ", 2, nmax, 0.0)
-        expected = 20 + 16 * nmax * (2 * nmax + 1)
-        with pytest.raises(ValueError, match=f"should have {expected} bytes, got 20"):
-            fld.read_snapshot(io.BytesIO(header))
-
-    def test_non_finite_payload_rejected(self):
-        buf = io.BytesIO()
-        fld.write_snapshot(buf, dsp.KDV, 0.5, fld.field_from_modes(1, 3, {1: 1.0, 2: 2.0}))
-        raw = bytearray(buf.getvalue())
-        raw[20 + 8 * 3:20 + 8 * 4] = np.array([np.nan], dtype="<f8").tobytes()  # Im of mode 2
-        with pytest.raises(ValueError, match="non-finite coefficients: 1 of 3"):
-            fld.read_snapshot(io.BytesIO(bytes(raw)))
-
-    def test_layout_is_little_endian_with_header(self):
-        f = fld.field_from_modes(1, 2, {1: 1.0 + 2.0j, 2: -0.5j})
-        buf = io.BytesIO()
-        fld.write_snapshot(buf, dsp.KDV, 0.5, f)
-        raw = buf.getvalue()
-        assert raw[:4] == b"kdv "
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:12], "little") == 2
-        assert np.frombuffer(raw, dtype="<f8", offset=12, count=1)[0] == 0.5
-        payload = np.frombuffer(raw, dtype="<f8", offset=20)
-        assert payload.tolist() == [1.0, 2.0, 0.0, -0.5]

@@ -7,7 +7,7 @@ from wavecorr import dispersion as dsp
 from wavecorr import field as fld
 from wavecorr import picard as pic
 from wavecorr.kernels import f_kernel
-from wavecorr.solver import SolverBlowUp
+from wavecorr.solver import SolverBlowUp, StepAccuracyWarning, evolve_array
 
 
 def smooth_field(dim, nmax, seed, rate=0.8, scale=1.0):
@@ -92,14 +92,13 @@ class TestFirstHarmonic:
         # up to O(eps^2) or better, checked by halving eps (here the gap is
         # actually O(eps^3): no pair of populated modes can feed 2n at
         # second order, so the halving ratio is ~8)
-        from wavecorr.solver import SolverConfig, evolve
         u0 = fld.field_from_modes(1, 4, {1: 0.8})
         t = 0.6
         b2 = fld.coefficient(pic.first_iterate_closed_form(u0, dsp.KDV, t), 2)
         gaps = []
         for eps in (0.2, 0.1):
-            state = evolve(u0, SolverConfig(dsp.KDV, eps, 1e-3, t))
-            v2 = fld.coefficient(state.v, 2)
+            v = u0.with_coeffs(evolve_array(dsp.KDV, eps, u0.coeffs, 1e-3, t)[0])
+            v2 = fld.coefficient(v, 2)
             assert abs(v2 - eps * b2) < 0.1 * abs(eps * b2)
             gaps.append(abs(v2 - eps * b2))
         assert gaps[0] / gaps[1] >= 3.5
@@ -111,11 +110,10 @@ class TestRemainder:
         assert np.all(c.coeffs == 0.0)
 
     def test_decomposition_reconstructs_solution(self):
-        from wavecorr.solver import SolverConfig, evolve
         u0 = smooth_field(1, 8, seed=6)
         dec = pic.decompose(u0, dsp.BBM, 0.2, 1.0, dt=2e-3)
-        state = evolve(u0, SolverConfig(dsp.BBM, 0.2, 2e-3, 1.0))
-        assert np.max(np.abs(dec.reconstruct().coeffs - state.v.coeffs)) < 1e-15
+        final = evolve_array(dsp.BBM, 0.2, u0.coeffs, 2e-3, 1.0)[0]
+        assert np.max(np.abs(dec.reconstruct().coeffs - final)) < 1e-15
 
     def test_epsilon_consistency(self):
         # c(eps) - c(eps/2) shrinks linearly in eps (Richardson with eps/4)
@@ -126,6 +124,13 @@ class TestRemainder:
         d2 = np.linalg.norm(cs[0.1] - cs[0.05])
         k_est = d2 / 0.05
         assert d1 <= 1.3 * k_est * 0.2
+
+    def test_blow_up_reports_time(self):
+        u0 = smooth_field(1, 8, seed=7, rate=0.0, scale=1e8)
+        with pytest.warns(StepAccuracyWarning):
+            with pytest.raises(SolverBlowUp) as info:
+                pic.decompose(u0, dsp.KDV, 1.0, 10.0, dt=0.5)
+        assert 0.0 < info.value.time <= 10.0
 
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
@@ -163,9 +168,17 @@ class TestGrowthScan:
 
     def test_blow_up_truncates_with_flag(self):
         rough = fld.field_from_modes(1, 8, {k: 1e7 for k in range(1, 9)})
-        scan = pic.remainder_growth_scan(rough, dsp.KDV, 1.0, [0.5, 4.0, 8.0], dt=0.5)
+        with pytest.warns(StepAccuracyWarning):
+            scan = pic.remainder_growth_scan(rough, dsp.KDV, 1.0, [0.5, 4.0, 8.0], dt=0.5)
         assert scan.truncated
         assert len(scan.rows) < 3
+
+    def test_negative_step_rejected(self):
+        # the KP-I Pell datum: a negative step would otherwise become one
+        # step per snapshot interval and give wrong norms without an error
+        u0 = fld.field_from_modes(2, 16, {(1, 14): 0.15, (7, 1): 0.15})
+        with pytest.raises(ValueError, match="dt must be a positive finite number"):
+            pic.remainder_growth_scan(u0, dsp.KPI, 0.05, [0.5, 1.0], dt=-1)
 
     def test_no_resonance_sup_attained_early(self):
         # BBM and KP-II: sup over [0,100] of ||b(t)|| moves < 5% between the

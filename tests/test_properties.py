@@ -1,7 +1,5 @@
-"""Property tests: snapshot round trips, the Hermitian mirror, the semigroup,
-kernel continuity and batch-row independence of the stepper."""
-
-import io
+"""Property tests: the Hermitian mirror, the semigroup, kernel continuity and
+batch-row independence of the stepper."""
 
 import numpy as np
 import pytest
@@ -20,34 +18,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 coefficient = st.builds(complex, finite, finite)
 
 
-@st.composite
-def fields(draw):
-    """A field of either dimension with arbitrary finite bit patterns."""
-    dim = draw(st.sampled_from([1, 2]))
-    nmax = draw(st.integers(1, 6 if dim == 1 else 4))
-    shape = dsp.stored_shape(dim, nmax)
-    values = draw(st.lists(coefficient, min_size=int(np.prod(shape)),
-                           max_size=int(np.prod(shape))))
-    return fld.SpectralField(nmax, np.array(values, dtype=complex).reshape(shape))
-
-
 def bits(arr):
     return np.ascontiguousarray(arr).view(np.uint64)
-
-
-@PROPERTY
-@given(fields(), finite, st.data())
-def test_snapshot_round_trip_is_bit_exact(field, t, data):
-    model = data.draw(st.sampled_from([m for m in dsp.MODELS.values()
-                                       if m.dimension == field.dimension]))
-    buf = io.BytesIO()
-    size = fld.write_snapshot(buf, model, t, field)
-    assert size == len(buf.getvalue())
-    model_back, t_back, back = fld.read_snapshot(io.BytesIO(buf.getvalue()))
-    assert model_back is model
-    assert bits(np.array([t_back])) == bits(np.array([t]))
-    assert back.nmax == field.nmax
-    assert np.array_equal(bits(back.coeffs), bits(field.coeffs))  # keeps -0.0 and subnormals
 
 
 @st.composite

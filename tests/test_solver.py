@@ -35,20 +35,6 @@ def brute_square(f):
     return out
 
 
-class TestSolverConfig:
-    def test_validation(self):
-        slv.SolverConfig(dsp.KDV, 0.0, 0.1, 1.0)
-        slv.SolverConfig(dsp.KDV, 1.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            slv.SolverConfig(dsp.KDV, 1.5, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            slv.SolverConfig(dsp.KDV, -0.1, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            slv.SolverConfig(dsp.KDV, 0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            slv.SolverConfig(dsp.KDV, 0.5, 2.0, 1.0)
-
-
 class TestDealiasedSquare:
     def test_two_cosine_example(self):
         # (2 cos x)^2 = 2 + 2 cos 2x: mode 2 coefficient 1; the constant is
@@ -124,56 +110,80 @@ class TestNonlinearRhs:
         assert worst < 1e-12
 
 
+def solve(model, eps, u0, dt, t_final, **kwargs):
+    """The interaction-picture field v at t_final of one trajectory from `u0`."""
+    final, _, alive, _ = slv.evolve_array(model, eps, u0.coeffs, dt, t_final, **kwargs)
+    assert alive
+    return u0.with_coeffs(final)
+
+
 class TestEvolve:
     def test_free_evolution_is_exact(self):
         f = steep_field(1, 8, seed=4)
-        state = slv.evolve(f, slv.SolverConfig(dsp.KDV, 0.0, 0.01, 0.7))
-        assert np.array_equal(state.v.coeffs, f.coeffs)
+        v = solve(dsp.KDV, 0.0, f, 0.01, 0.7)
+        assert np.array_equal(v.coeffs, f.coeffs)
         ref = fld.apply_semigroup(dsp.KDV, f, 0.7)
-        assert np.allclose(state.physical().coeffs, ref.coeffs, rtol=0, atol=0)
+        assert np.allclose(fld.apply_semigroup(dsp.KDV, v, 0.7).coeffs, ref.coeffs,
+                           rtol=0, atol=0)
 
     def test_rk4_order(self):
         u0 = steep_field(1, 12, seed=5, rate=0.6, scale=4.0)
-        ref = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 1.0, 5e-4, 0.5)).v.coeffs
+        ref = solve(dsp.BBM, 1.0, u0, 5e-4, 0.5).coeffs
         errs = []
         for dt in (2e-2, 1e-2):
-            v = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 1.0, dt, 0.5)).v.coeffs
+            v = solve(dsp.BBM, 1.0, u0, dt, 0.5).coeffs
             errs.append(np.linalg.norm(v - ref))
         order = np.log2(errs[0] / errs[1])
         assert 3.5 <= order <= 4.5
 
-    def test_snapshot_times_hit_exactly(self):
+    def test_requested_times_hit_exactly(self):
         u0 = steep_field(1, 6, seed=6)
-        state = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 0.5, 1e-2, 1.0),
-                           snapshot_times=(0.0, 0.35, 1.0))
-        times = [t for t, _ in state.snapshots]
+        final, snaps, _, _ = slv.evolve_array(dsp.BBM, 0.5, u0.coeffs, 1e-2, 1.0,
+                                              snapshot_times=(0.0, 0.35, 1.0))
+        times = [t for t, _ in snaps]
         assert times == [0.0, 0.35, 1.0]
-        assert np.array_equal(state.snapshots[0][1].coeffs, u0.coeffs)
-        assert np.array_equal(state.snapshots[-1][1].coeffs, state.v.coeffs)
+        assert np.array_equal(snaps[0][1], u0.coeffs)
+        assert np.array_equal(snaps[-1][1], final)
 
-    def test_snapshot_segmentation_consistent(self):
+    def test_segmented_solve_consistent(self):
         u0 = steep_field(1, 6, seed=12)
-        plain = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 1.0, 1e-2, 1.0))
-        snapped = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 1.0, 1e-2, 1.0),
-                             snapshot_times=(0.4,))
-        assert np.max(np.abs(plain.v.coeffs - snapped.v.coeffs)) < 1e-9
+        plain = solve(dsp.BBM, 1.0, u0, 1e-2, 1.0)
+        snapped = solve(dsp.BBM, 1.0, u0, 1e-2, 1.0, snapshot_times=(0.4,))
+        assert np.max(np.abs(plain.coeffs - snapped.coeffs)) < 1e-9
 
     def test_blow_up_reports_time(self):
         u0 = steep_field(1, 8, seed=7, rate=0.0, scale=1e8)
         with pytest.warns(slv.StepAccuracyWarning):
-            with pytest.raises(slv.SolverBlowUp) as info:
-                slv.evolve(u0, slv.SolverConfig(dsp.KDV, 1.0, 0.5, 10.0))
-        assert 0.0 < info.value.time <= 10.0
+            _, _, alive, blow = slv.evolve_array(dsp.KDV, 1.0, u0.coeffs, 0.5, 10.0)
+        assert not alive
+        assert 0.0 < blow <= 10.0
+
+    def test_validation(self):
+        u0 = steep_field(1, 4, seed=13)
+        slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 2.0, 1.0)  # one shortened step
+        slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 0.1, 0.0)
+        for dt in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be a positive finite number"):
+                slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, dt, 1.0)
+        with pytest.raises(ValueError, match="precedes t_start"):
+            slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 0.1, -1.0)
+        with pytest.raises(ValueError, match="precedes t_start"):
+            slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 0.1, 0.5, t_start=1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            slv.evolve(fld.zero_field(1, 4), slv.SolverConfig(dsp.KPI, 0.1, 0.1, 1.0))
+        with pytest.raises(ValueError, match="stored lattice"):
+            slv.evolve_array(dsp.KPI, 0.1, fld.zero_field(1, 4).coeffs, 0.1, 1.0)
+        batch = np.stack([steep_field(1, 4, seed=s).coeffs for s in (14, 15, 16)])
+        with pytest.raises(ValueError, match="stored lattice"):
+            slv.evolve_array(dsp.KPI, 0.1, batch, 0.1, 1.0)
 
     def test_step_warning_for_coarse_dt(self):
         u0 = steep_field(1, 16, seed=8)
         with pytest.warns(slv.StepAccuracyWarning):
-            slv.evolve(u0, slv.SolverConfig(dsp.KDV, 0.5, 0.05, 0.1))
-
+            solve(dsp.KDV, 0.5, u0, 0.05, 0.1)
+        with warnings.catch_warnings():  # free evolution has no phase to resolve
+            warnings.simplefilter("error", slv.StepAccuracyWarning)
+            solve(dsp.KDV, 0.0, u0, 0.05, 0.1)
 
     # KP-II nmax=8: the largest triad divisor is |delta| = 416
     @pytest.mark.parametrize("factor,warns", [(0.99, False), (1.01, True)])
@@ -183,7 +193,7 @@ class TestEvolve:
         dt = factor * 3.0 / 416.0
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            slv.evolve(u0, slv.SolverConfig(dsp.KPII, 0.1, dt, dt))
+            solve(dsp.KPII, 0.1, u0, dt, dt)
         flagged = [r for r in rec if issubclass(r.category, slv.StepAccuracyWarning)]
         assert len(flagged) == int(warns)
         if warns:
@@ -202,17 +212,17 @@ class TestConservedFunctional:
     def test_drift_small_along_trajectory(self, model, dim):
         u0 = steep_field(dim, 8 if dim == 1 else 6, seed=9)
         dt = 1e-3 if dim == 1 else 5e-4
-        state = slv.evolve(u0, slv.SolverConfig(model, 0.5, dt, 0.5))
+        v = solve(model, 0.5, u0, dt, 0.5)
         e0 = slv.conserved_functional(model, u0)
-        e1 = slv.conserved_functional(model, state.physical())
+        e1 = slv.conserved_functional(model, fld.apply_semigroup(model, v, 0.5))
         assert abs(e1 - e0) / e0 < 1e-8
 
     def test_invariant_equals_interaction_picture_value(self):
         # the semigroup preserves moduli, so the functional reads off v directly
         u0 = steep_field(1, 8, seed=11)
-        state = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 0.5, 1e-2, 1.0))
-        assert slv.conserved_functional(dsp.BBM, state.physical()) == \
-            pytest.approx(slv.conserved_functional(dsp.BBM, state.v), rel=1e-14)
+        v = solve(dsp.BBM, 0.5, u0, 1e-2, 1.0)
+        assert slv.conserved_functional(dsp.BBM, fld.apply_semigroup(dsp.BBM, v, 1.0)) == \
+            pytest.approx(slv.conserved_functional(dsp.BBM, v), rel=1e-14)
 
     def test_drift_converges_at_fourth_order(self):
         u0 = steep_field(1, 12, seed=5, rate=0.6, scale=4.0)
@@ -220,8 +230,8 @@ class TestConservedFunctional:
         dts = (4e-2, 2e-2, 1e-2, 5e-3)
         drifts = []
         for dt in dts:
-            state = slv.evolve(u0, slv.SolverConfig(dsp.BBM, 1.0, dt, 1.0))
-            e1 = slv.conserved_functional(dsp.BBM, state.physical())
+            v = solve(dsp.BBM, 1.0, u0, dt, 1.0)
+            e1 = slv.conserved_functional(dsp.BBM, fld.apply_semigroup(dsp.BBM, v, 1.0))
             drifts.append(abs(e1 - e0) / e0)
         slope = np.polyfit(np.log(dts), np.log(drifts), 1)[0]
         assert slope >= 3.7
@@ -238,16 +248,13 @@ class TestTruncationIndependence:
         lo[:4] = z
         hi = np.zeros(16, dtype=complex)
         hi[:4] = z
-        cfg = dict(epsilon=0.3, dt=1e-3, t_final=0.2)
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", slv.StepAccuracyWarning)
-            s8 = slv.evolve(fld.SpectralField(8, lo), slv.SolverConfig(dsp.KDV, **cfg))
-            s16 = slv.evolve(fld.SpectralField(16, hi), slv.SolverConfig(dsp.KDV, **cfg))
-            ref = slv.evolve(fld.SpectralField(8, lo),
-                             slv.SolverConfig(dsp.KDV, 0.3, 5e-4, 0.2))
-        trunc = np.max(np.abs(s8.v.coeffs - s16.v.coeffs[:8]))
-        integ = np.max(np.abs(s8.v.coeffs - ref.v.coeffs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", slv.StepAccuracyWarning)
+            s8 = solve(dsp.KDV, 0.3, fld.SpectralField(8, lo), 1e-3, 0.2)
+            s16 = solve(dsp.KDV, 0.3, fld.SpectralField(16, hi), 1e-3, 0.2)
+            ref = solve(dsp.KDV, 0.3, fld.SpectralField(8, lo), 5e-4, 0.2)
+        trunc = np.max(np.abs(s8.coeffs - s16.coeffs[:8]))
+        integ = np.max(np.abs(s8.coeffs - ref.coeffs))
         assert trunc <= max(10.0 * integ, 1e-12)
 
 
@@ -257,21 +264,20 @@ class TestBatchedCore:
         u0b = steep_field(1, 6, seed=21)
         batch = np.stack([u0a.coeffs, u0b.coeffs])
         final, _, alive, _ = slv.evolve_array(dsp.BBM, 0.3, batch, 1e-2, 0.5)
-        sa = slv.evolve(u0a, slv.SolverConfig(dsp.BBM, 0.3, 1e-2, 0.5))
-        sb = slv.evolve(u0b, slv.SolverConfig(dsp.BBM, 0.3, 1e-2, 0.5))
-        assert np.array_equal(final[0], sa.v.coeffs)
-        assert np.array_equal(final[1], sb.v.coeffs)
+        sa = solve(dsp.BBM, 0.3, u0a, 1e-2, 0.5)
+        sb = solve(dsp.BBM, 0.3, u0b, 1e-2, 0.5)
+        assert np.array_equal(final[0], sa.coeffs)
+        assert np.array_equal(final[1], sb.coeffs)
         assert alive.all()
 
     def test_partial_blow_up_isolated(self):
-        import warnings as _warnings
         good = steep_field(1, 6, seed=22)
         bad = steep_field(1, 6, seed=23, rate=0.0, scale=1e8)
         batch = np.stack([good.coeffs, bad.coeffs])
-        final, _, alive, blow = slv.evolve_array(dsp.KDV, 1.0, batch, 0.05, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", slv.StepAccuracyWarning)
+            final, _, alive, blow = slv.evolve_array(dsp.KDV, 1.0, batch, 0.05, 1.0)
+            single = solve(dsp.KDV, 1.0, good, 0.05, 1.0)
         assert alive.tolist() == [True, False]
         assert np.isfinite(blow[1]) and np.isnan(blow[0])
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", slv.StepAccuracyWarning)
-            single = slv.evolve(good, slv.SolverConfig(dsp.KDV, 1.0, 0.05, 1.0))
-        assert np.array_equal(final[0], single.v.coeffs)
+        assert np.array_equal(final[0], single.coeffs)

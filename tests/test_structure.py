@@ -1,6 +1,8 @@
-"""Module boundaries: no wavecorr module reaches into another's private names."""
+"""Module boundaries: no wavecorr module reaches into another's private names,
+and every name a module exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wavecorr"
@@ -51,3 +53,17 @@ def test_checker_sees_function_level_imports(tmp_path):
                      "    return s._transform\n", encoding="utf-8")
     found = private_uses(probe)
     assert [use.split(" ")[1] for use in found] == ["picard._helper", "s._transform"]
+
+
+def test_every_exported_name_resolves():
+    # tools that walk `__all__` (the benchmark's tracer among them) call
+    # getattr for each entry, so a stale name would crash them
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"wavecorr.{path.stem}")
+        assert module.__all__, path.name
+        stale += [f"{path.stem}.{name}" for name in module.__all__
+                  if not hasattr(module, name)]
+    assert stale == []
