@@ -347,9 +347,13 @@ def cmd_covariance(cfg):
         raise ConfigError(
             f"estimated work {work:.3g} exceeds run.budget {cfg.budget:.3g} "
             "(samples x steps x stages x grid points)")
-    report = cov.mc_covariance(
-        ensemble, cfg.model, cfg.epsilon, t, cfg.dt,
-        workers=cfg.workers, batch_size=cfg.batch)
+    try:
+        report = cov.mc_covariance(
+            ensemble, cfg.model, cfg.epsilon, t, cfg.dt,
+            workers=cfg.workers, batch_size=cfg.batch)
+    except RuntimeError as exc:  # too few samples survived to form errors
+        print(f"covariance: REPORT INVALID ({exc})", file=sys.stderr)
+        return EXIT_INVALID_REPORT
     csv_path = _outfile(cfg, "covariance.csv")
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     json_path = _outfile(cfg, "covariance.json")

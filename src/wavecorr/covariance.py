@@ -21,6 +21,7 @@ estimator is exactly zero at eps = 0 and t = 0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -33,7 +34,7 @@ import numpy as np
 from . import dispersion
 from .field import SpectralField, full_array
 from .kernels import sinc_kernel, tilde_f_kernel
-from .sampling import sample_coeff_batch
+from .sampling import EnsembleConfig, sample_coeff_batch
 from .solver import evolve_array
 
 __all__ = [
@@ -146,15 +147,14 @@ def g_total_terms(n, spectrum, kurtosis, model, t):
     return (np.concatenate(terms) if terms else np.empty(0)), float(correction[0]), bool(dropped[0])
 
 
-def g_table(spectrum, kurtosis, model, t, rate=False):
+def g_table(spectrum, kurtosis, model, t):
     """G over every stored mode; returns (values, list of flagged modes).
 
     `t` is a time or a 1-d array of times; values have shape
     t.shape + stored_shape.
     """
-    kernel = sinc_kernel if rate else tilde_f_kernel
     dim, nmax = spectrum.dimension, spectrum.nmax
-    values, dropped = _g_values(spectrum, kurtosis, model, t, kernel,
+    values, dropped = _g_values(spectrum, kurtosis, model, t, tilde_f_kernel,
                                 dispersion.stored_modes(dim, nmax))
     labels = dispersion.mode_list(dim, nmax)
     return (values.reshape(np.shape(t) + dispersion.stored_shape(dim, nmax)),
@@ -221,6 +221,8 @@ def prediction_table(spectrum, kurtosis, model, times):
 def _batch_moments(x):
     """(count, mean, sum of squared deviations) along axis 0."""
     count = x.shape[0]
+    if count == 0:
+        return 0, 0.0, 0.0
     mean = x.mean(axis=0)
     m2 = np.sum(np.abs(x - mean) ** 2, axis=0)
     return count, mean, m2
@@ -230,6 +232,8 @@ def _merge_moments(acc, update):
     """Chan's parallel combination of (count, mean, M2) accumulators."""
     c1, m1, s1 = acc
     c2, m2, s2 = update
+    if c2 == 0:
+        return acc
     if c1 == 0:
         return update
     count = c1 + c2
@@ -243,66 +247,56 @@ _OFFDIAG_MODES = 64  # stored modes probed for off-diagonal correlation
 
 
 def _offdiag_pairs(dim, nmax):
-    """Flat stored-mode index pairs probed for off-diagonal correlation.
+    """Flat stored-mode pairs (m, n, conj_count) probed for off-diagonal correlation.
 
-    Conjugated products run over m < n, unconjugated over m <= n (the latter
-    probe E(u_m u_n), i.e. pairs across the two half-lattices), both in
-    row-major (m, n) order.  Modes are taken in increasing l1 size, up to
-    _OFFDIAG_MODES of them.
+    The first `conj_count` pairs are conjugated products over m < n, the rest
+    unconjugated over m <= n (they probe E(u_m u_n), i.e. pairs across the
+    two half-lattices), each in row-major (m, n) order.  Modes are taken in
+    increasing l1 size, up to _OFFDIAG_MODES of them.
     """
     size = dispersion.mode_l1(dim, nmax).reshape(-1)
     order = np.sort(np.argsort(size, kind="stable")[:_OFFDIAG_MODES])
     herm = np.triu_indices(order.size, k=1)
     plain = np.triu_indices(order.size, k=0)
-    return order[herm[0]], order[herm[1]], order[plain[0]], order[plain[1]]
+    return (order[np.concatenate([herm[0], plain[0]])],
+            order[np.concatenate([herm[1], plain[1]])], herm[0].size)
 
 
-def _covariance_batch(task):
-    """One batch of coupled solves; returns mergeable partial statistics."""
-    (ensemble, model, epsilon, t, dt, start, stop, pairs) = task
-    indices = list(range(start, stop))
-    a = sample_coeff_batch(ensemble, indices)
-    final, _, alive, blow = evolve_array(model, epsilon, a, dt, t)
-    a_flat = a.reshape(a.shape[0], -1)
-    v_flat = final.reshape(final.shape[0], -1)
-    keep = np.asarray(alive).reshape(-1)
-    excluded = [(indices[i], float(np.asarray(blow).reshape(-1)[i]))
-                for i in np.nonzero(~keep)[0]]
-    a_flat, v_flat = a_flat[keep], v_flat[keep]
-    if a_flat.shape[0] == 0:
-        return None, None, None, excluded
+def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, pairs, start):
+    """One batch of coupled solves, from sample `start`; mergeable partial statistics.
 
-    diag = np.abs(v_flat) ** 2 - np.abs(a_flat) ** 2
-    hm, hn, pm, pn = pairs
-    herm = (np.conj(v_flat[:, hm]) * v_flat[:, hn]
-            - np.conj(a_flat[:, hm]) * a_flat[:, hn])
-    plain = v_flat[:, pm] * v_flat[:, pn] - a_flat[:, pm] * a_flat[:, pn]
-    return (_batch_moments(diag), _batch_moments(herm),
-            _batch_moments(plain), excluded)
+    Returns (moments of the diagonal, conjugated and unconjugated products,
+    excluded (index, blow-up time) pairs, (category, text) of each warning
+    raised).  Warnings are recorded rather than shown, so that the caller
+    sees them whether the batch ran in its process or in a pool worker.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        a = sample_coeff_batch(ensemble, range(start, min(start + batch_size, ensemble.samples)))
+        final, _, alive, blow = evolve_array(model, epsilon, a, dt, t)
+    excluded = [(start + i, float(blow[i])) for i in np.flatnonzero(~alive)]
+    a = a[alive].reshape(-1, ensemble.spectrum.table.size)
+    v = final[alive].reshape(a.shape)
+    m, n, conj = pairs
+    diag = np.abs(v) ** 2 - np.abs(a) ** 2
+    herm = np.conj(v[:, m[:conj]]) * v[:, n[:conj]] - np.conj(a[:, m[:conj]]) * a[:, n[:conj]]
+    plain = v[:, m[conj:]] * v[:, n[conj:]] - a[:, m[conj:]] * a[:, n[conj:]]
+    return ([_batch_moments(x) for x in (diag, herm, plain)], excluded,
+            [(w.category, str(w.message)) for w in caught])
 
 
 @dataclass
 class CovarianceReport:
     """Per-mode coupled estimates of the eps^2-normalized covariance correction."""
 
-    model_kind: str
+    ensemble: EnsembleConfig
+    model: dispersion.DispersionModel
     epsilon: float
     t: float
     dt: float
-    seed: int
-    law_kind: str
-    kurtosis: float
-    spectrum_family: str
-    spectrum_alpha: Optional[float]
-    effective_s: float
-    nmax: int
-    dimension: int
-    samples: int
     used: int
     excluded: list
     invalid: bool
-    modes: list
-    lambda_sq: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
     g_pred: np.ndarray
@@ -313,25 +307,34 @@ class CovarianceReport:
     offdiag_argmax: tuple
     truncation_flags: list = dataclass_field(default_factory=list)
 
+    @property
+    def samples(self):
+        return self.ensemble.samples
+
+    def _records(self):
+        """(mode, lambda_sq, g_pred, estimate, stderr, zscore) per stored mode."""
+        spectrum = self.ensemble.spectrum
+        return zip(dispersion.mode_list(spectrum.dimension, spectrum.nmax),
+                   spectrum.lambda_sq.reshape(-1), self.g_pred, self.estimates,
+                   self.stderrs, self.zscores)
+
     def to_csv(self):
         lines = ["mode,lambda_sq,g_pred,mc_estimate,stderr,zscore"]
-        for i, mode in enumerate(self.modes):
-            lines.append(",".join([
-                dispersion.mode_label(mode),
-                f"{self.lambda_sq[i]:.17g}", f"{self.g_pred[i]:.17g}",
-                f"{self.estimates[i]:.17g}", f"{self.stderrs[i]:.17g}",
-                f"{self.zscores[i]:.17g}"]))
+        for mode, *values in self._records():
+            lines.append(",".join([dispersion.mode_label(mode)]
+                                  + [f"{x:.17g}" for x in values]))
         return "\n".join(lines) + "\n"
 
     def to_json(self):
         label = dispersion.mode_label
+        spectrum, law = self.ensemble.spectrum, self.ensemble.law
+        keys = ("lambda_sq", "g_pred", "estimate", "stderr", "zscore")
         return json.dumps({
-            "model": self.model_kind, "epsilon": self.epsilon, "t": self.t,
-            "dt": self.dt, "seed": self.seed, "law": self.law_kind,
-            "kurtosis": self.kurtosis,
-            "spectrum": {"family": self.spectrum_family,
-                         "alpha": self.spectrum_alpha,
-                         "effective_s": self.effective_s, "nmax": self.nmax},
+            "model": self.model.kind, "epsilon": self.epsilon, "t": self.t,
+            "dt": self.dt, "seed": self.ensemble.seed, "law": law.kind,
+            "kurtosis": law.kurtosis,
+            "spectrum": {"family": spectrum.family, "alpha": spectrum.alpha,
+                         "effective_s": spectrum.effective_s, "nmax": spectrum.nmax},
             "samples": self.samples, "used": self.used,
             "excluded": [{"index": i, "time": bt} for i, bt in self.excluded],
             "invalid": self.invalid,
@@ -341,11 +344,8 @@ class CovarianceReport:
                             "max_abs_stderr": self.offdiag_max_stderr,
                             "argmax": list(map(label, self.offdiag_argmax[:2]))
                                       + [self.offdiag_argmax[2]]},
-            "records": [{
-                "mode": label(mode),
-                "lambda_sq": self.lambda_sq[i], "g_pred": self.g_pred[i],
-                "estimate": self.estimates[i], "stderr": self.stderrs[i],
-                "zscore": self.zscores[i]} for i, mode in enumerate(self.modes)],
+            "records": [{"mode": label(mode), **dict(zip(keys, values))}
+                        for mode, *values in self._records()],
         }, indent=2, default=float)
 
 
@@ -354,7 +354,8 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
 
     Deterministic given (ensemble, batch_size): batches are fixed slices of
     the sample index range and their statistics merge in index order, so the
-    result is independent of the worker count.  Samples whose solve loses
+    result is independent of the worker count.  Each distinct warning the
+    batches raise is issued once, in batch order.  Samples whose solve loses
     finiteness are excluded and reported; more than 1% exclusions marks the
     report invalid.
     """
@@ -368,34 +369,29 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
             TheoryWindowWarning, stacklevel=2)
 
     pairs = _offdiag_pairs(spectrum.dimension, spectrum.nmax)
-    tasks = [(ensemble, model, epsilon, t, dt, start,
-              min(start + batch_size, ensemble.samples), pairs)
-             for start in range(0, ensemble.samples, batch_size)]
-    if workers > 1 and len(tasks) > 1:
+    batch = functools.partial(_covariance_batch, ensemble, model, epsilon, t, dt,
+                              batch_size, pairs)
+    starts = range(0, ensemble.samples, batch_size)
+    if workers > 1 and len(starts) > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_covariance_batch, tasks, chunksize=1)
+            results = pool.map(batch, starts, chunksize=1)
     else:
-        results = [_covariance_batch(task) for task in tasks]
+        results = list(map(batch, starts))
 
-    diag_acc = (0, 0.0, 0.0)
-    herm_acc = (0, 0.0, 0.0)
-    plain_acc = (0, 0.0, 0.0)
+    accs = [(0, 0.0, 0.0)] * 3
     excluded = []
-    for diag, herm, plain, dead in results:
-        excluded.extend(dead)
-        if diag is not None:
-            diag_acc = _merge_moments(diag_acc, diag)
-            herm_acc = _merge_moments(herm_acc, herm)
-            plain_acc = _merge_moments(plain_acc, plain)
+    for moments, dead, _ in results:
+        accs = [_merge_moments(acc, update) for acc, update in zip(accs, moments)]
+        excluded += dead
+    for category, text in dict.fromkeys(w for _, _, raised in results for w in raised):
+        warnings.warn(text, category, stacklevel=2)
 
-    used = diag_acc[0]
+    (used, mean_d, m2_d), herm_acc, plain_acc = accs
     if used < 2:
         raise RuntimeError("fewer than two usable samples; cannot form errors")
     scale = 1.0 / epsilon ** 2 if epsilon > 0 else 1.0
-    mean_d = np.asarray(diag_acc[1])
-    sd_d = np.sqrt(np.asarray(diag_acc[2]) / (used - 1))
     estimates = mean_d * scale
-    stderrs = sd_d / math.sqrt(used) * scale
+    stderrs = np.sqrt(m2_d / (used - 1)) / math.sqrt(used) * scale
 
     g_values, flagged = g_table(spectrum, ensemble.law.kurtosis, model, t)
     g_flat = g_values.reshape(-1)
@@ -405,37 +401,18 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
     z[zero_err & (estimates == g_flat)] = 0.0
     z[zero_err & (estimates != g_flat)] = np.inf
 
-    hm, hn, pm, pn = pairs
-    off_mean = np.concatenate([np.asarray(herm_acc[1]), np.asarray(plain_acc[1])])
-    off_sd = np.sqrt(np.concatenate([np.asarray(herm_acc[2]), np.asarray(plain_acc[2])]) / (used - 1))
-    off_abs = np.abs(off_mean)
-    arg = int(np.argmax(off_abs)) if off_abs.size else 0
+    m, n, conj = pairs
+    off_abs = np.abs(np.concatenate([herm_acc[1], plain_acc[1]]))
+    off_sd = np.sqrt(np.concatenate([herm_acc[2], plain_acc[2]]) / (used - 1))
+    arg = int(np.argmax(off_abs))
     labels = dispersion.mode_list(spectrum.dimension, spectrum.nmax)
-    if off_abs.size:
-        if arg < hm.size:
-            pair_label = (labels[hm[arg]], labels[hn[arg]], "conjugated")
-        else:
-            j = arg - hm.size
-            pair_label = (labels[pm[j]], labels[pn[j]], "plain")
-        max_abs = float(off_abs[arg])
-        max_stderr = float(off_sd[arg] / math.sqrt(used))
-    else:
-        pair_label = (None, None, "none")
-        max_abs = 0.0
-        max_stderr = 0.0
-
-    invalid = len(excluded) > 0.01 * ensemble.samples
     return CovarianceReport(
-        model_kind=model.kind, epsilon=epsilon, t=t, dt=dt, seed=ensemble.seed,
-        law_kind=ensemble.law.kind, kurtosis=ensemble.law.kurtosis,
-        spectrum_family=spectrum.family, spectrum_alpha=spectrum.alpha,
-        effective_s=spectrum.effective_s, nmax=spectrum.nmax,
-        dimension=spectrum.dimension, samples=ensemble.samples, used=used,
-        excluded=excluded, invalid=invalid, modes=labels,
-        lambda_sq=spectrum.lambda_sq.reshape(-1).copy(),
-        estimates=estimates, stderrs=stderrs, g_pred=g_flat.copy(), zscores=z,
-        offdiag_pairs=int(hm.size + pm.size), offdiag_max_abs=max_abs,
-        offdiag_max_stderr=max_stderr, offdiag_argmax=pair_label,
+        ensemble=ensemble, model=model, epsilon=epsilon, t=t, dt=dt, used=used,
+        excluded=excluded, invalid=len(excluded) > 0.01 * ensemble.samples,
+        estimates=estimates, stderrs=stderrs, g_pred=g_flat, zscores=z,
+        offdiag_pairs=int(m.size), offdiag_max_abs=float(off_abs[arg]),
+        offdiag_max_stderr=float(off_sd[arg] / math.sqrt(used)),
+        offdiag_argmax=(labels[m[arg]], labels[n[arg]], ("plain", "conjugated")[arg < conj]),
         truncation_flags=flagged)
 
 
@@ -455,10 +432,7 @@ class ComparisonVerdict:
 
     @property
     def passed(self):
-        ok = self.fraction_within_3 >= 0.95
-        if not self.decay_skipped and self.decay_ok is not None:
-            ok = ok and self.decay_ok
-        return ok
+        return self.fraction_within_3 >= 0.95 and (self.decay_skipped or self.decay_ok)
 
 
 _MIN_SHELLS = 4  # shells (l1 sizes with a nonzero value) a decay fit needs
@@ -479,29 +453,25 @@ def fit_decay_slope(mode_l1, values):
     return float(np.polyfit(xs, ys, 1)[0]), len(pts)
 
 
-def compare_prediction(report, decay_fit=False, s=None):
+def compare_prediction(report, decay_fit=False):
     """Z-score summary of a report, optionally with the decay-envelope fit.
 
-    `s` is the declared datum regularity used for the envelope exponent;
-    by default it sits half a unit inside the profile's summability
-    supremum (the supremum itself is not attained).
+    The envelope exponent takes the datum regularity half a unit inside the
+    profile's summability supremum (the supremum itself is not attained).
     """
     finite = np.isfinite(report.zscores)
     within = np.abs(np.where(finite, report.zscores, np.inf)) <= 3.0
     verdict = ComparisonVerdict(
-        n_modes=len(report.modes),
-        fraction_within_3=float(np.mean(within)) if len(report.modes) else 1.0)
+        n_modes=len(report.zscores),
+        fraction_within_3=float(np.mean(within)) if len(report.zscores) else 1.0)
     if decay_fit:
-        model = dispersion.MODELS[report.model_kind]
-        size = dispersion.mode_l1(report.dimension, report.nmax)
+        spectrum = report.ensemble.spectrum
+        size = dispersion.mode_l1(spectrum.dimension, spectrum.nmax)
         slope, shells = fit_decay_slope(size, report.g_pred)
         verdict.shells = shells
-        if slope is None:
-            verdict.decay_skipped = True
-        else:
-            declared = report.effective_s - 0.5 if s is None else float(s)
+        if slope is not None:
             verdict.decay_skipped = False
             verdict.decay_slope = slope
-            verdict.decay_bound = _decay_exponent(model, declared) + 0.5
+            verdict.decay_bound = _decay_exponent(report.model, spectrum.effective_s - 0.5) + 0.5
             verdict.decay_ok = slope <= verdict.decay_bound
     return verdict

@@ -117,6 +117,8 @@ class SpectrumProfile:
     table: np.ndarray
 
     def __post_init__(self):
+        if self.nmax < 1:
+            raise ValueError(f"nmax must be a positive integer, got {self.nmax}")
         arr = np.asarray(self.table, dtype=float)
         if arr.shape != dispersion.stored_shape(self.dimension, self.nmax):
             raise ValueError("profile table does not match the stored lattice shape")

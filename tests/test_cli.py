@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,36 @@ class TestCovarianceCommand:
                            "--set", "grid.nmax=16", "--set", "run.samples=4",
                            "--set", "run.t=0.1")
         assert code == 0
+
+    def test_step_warnings_reach_the_caller_for_any_worker_count(self, tmp_path):
+        # each distinct warning a batch raises is issued once by the parent,
+        # also when the batches ran in pool workers
+        def step_warnings(workers):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                code = run_cli(tmp_path / str(workers), "covariance", "--set", "model=kdv",
+                               "--set", "grid.nmax=16", "--set", "run.samples=8",
+                               "--set", "run.batch=4", "--set", "run.t=0.1",
+                               "--set", f"run.workers={workers}")
+            assert code == 0
+            return [str(r.message) for r in rec
+                    if issubclass(r.category, solver.StepAccuracyWarning)]
+
+        serial = step_warnings(1)
+        assert serial
+        assert step_warnings(2) == serial
+
+    def test_lost_samples_exit_3_with_one_line(self, tmp_path, capsys):
+        # a datum so rough that every trajectory blows up
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(tmp_path, "covariance", "--set", "model=kdv", "--set", "grid.nmax=4",
+                           "--set", "spectrum.alpha=-12", "--set", "spectrum.force=true",
+                           "--set", "run.epsilon=1", "--set", "run.t=5", "--set", "run.dt=0.5",
+                           "--set", "run.samples=8")
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "covariance: REPORT INVALID (fewer than two usable samples; cannot form errors)"]
 
     def test_time_list_rejected(self, tmp_path):
         assert run_cli(tmp_path, *self.args, "--set", "run.t=[0.5,1.0]") == 64

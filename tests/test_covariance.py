@@ -310,7 +310,7 @@ class TestComparePrediction:
         ens = smp.EnsembleConfig(smp.complex_gaussian(),
                                  smp.build_spectrum("sobolev", 3.0, 16, 1), 16, 3)
         rep = cov.mc_covariance(ens, dsp.BBM, 0.05, 1.0, 5e-3)
-        verdict = cov.compare_prediction(rep, decay_fit=True, s=2.0)
+        verdict = cov.compare_prediction(rep, decay_fit=True)  # declared s = 2.5 - 0.5
         assert not verdict.decay_skipped
         assert verdict.decay_bound == -5.5
         assert verdict.decay_ok

@@ -71,6 +71,14 @@ class TestSpectrumProfiles:
         smp.build_spectrum("sobolev", 3.0, 8, 1, model=dsp.BBM)
         smp.build_spectrum("bbm-gibbs", None, 8, 1, model=dsp.BBM)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_lattice_rejected(self, dim):
+        # nmax = 0 stores no mode at all; the triad sums would divide by zero
+        with pytest.raises(ValueError, match="nmax"):
+            smp.custom_spectrum(np.zeros(dsp.stored_shape(dim, 0)), 0, dim)
+        with pytest.raises(ValueError, match="nmax"):
+            smp.build_spectrum("sobolev", 3.0, 0, dim)
+
     def test_dimension_gate(self):
         with pytest.raises(ValueError):
             smp.build_spectrum("bbm-gibbs", None, 8, 2)

@@ -1,11 +1,15 @@
 """Module boundaries: no wavecorr module reaches into another's private names,
-and every name a module exports exists."""
+every name a module exports exists, and the README lists every config key."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wavecorr"
+from wavecorr import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wavecorr"
 
 
 def _is_private(name):
@@ -67,3 +71,10 @@ def test_every_exported_name_resolves():
         stale += [f"{path.stem}.{name}" for name in module.__all__
                   if not hasattr(module, name)]
     assert stale == []
+
+
+def test_readme_lists_every_config_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"with dotted\s+keys — (.*?) — and any key", readme, re.S)
+    assert listing is not None
+    assert re.findall(r"`([^`]+)`", listing.group(1)) == list(cli.DEFAULTS)
