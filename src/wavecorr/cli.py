@@ -351,7 +351,7 @@ def cmd_covariance(cfg):
         report = cov.mc_covariance(
             ensemble, cfg.model, cfg.epsilon, t, cfg.dt,
             workers=cfg.workers, batch_size=cfg.batch)
-    except RuntimeError as exc:  # too few samples survived to form errors
+    except cov.TooFewSamplesError as exc:
         print(f"covariance: REPORT INVALID ({exc})", file=sys.stderr)
         return EXIT_INVALID_REPORT
     csv_path = _outfile(cfg, "covariance.csv")

@@ -38,7 +38,7 @@ from .sampling import EnsembleConfig, sample_coeff_batch
 from .solver import evolve_array
 
 __all__ = [
-    "TruncationWarning", "TheoryWindowWarning",
+    "TruncationWarning", "TheoryWindowWarning", "TooFewSamplesError",
     "g_rate", "g_total", "g_total_terms", "g_table",
     "kinetic_residual", "decay_envelope", "prediction_table",
     "CovarianceReport", "mc_covariance", "ComparisonVerdict", "compare_prediction",
@@ -51,6 +51,10 @@ class TruncationWarning(UserWarning):
 
 class TheoryWindowWarning(UserWarning):
     """The requested horizon exceeds the weakly nonlinear window ~ 1/(10 eps)."""
+
+
+class TooFewSamplesError(RuntimeError):
+    """Fewer than two samples survived the solves; no standard error can be formed."""
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, pairs, start)
         warnings.simplefilter("always")
         a = sample_coeff_batch(ensemble, range(start, min(start + batch_size, ensemble.samples)))
         final, _, alive, blow = evolve_array(model, epsilon, a, dt, t)
-    excluded = [(start + i, float(blow[i])) for i in np.flatnonzero(~alive)]
+    excluded = [(start + int(i), float(blow[i])) for i in np.flatnonzero(~alive)]
     a = a[alive].reshape(-1, ensemble.spectrum.table.size)
     v = final[alive].reshape(a.shape)
     m, n, conj = pairs
@@ -388,7 +392,7 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
 
     (used, mean_d, m2_d), herm_acc, plain_acc = accs
     if used < 2:
-        raise RuntimeError("fewer than two usable samples; cannot form errors")
+        raise TooFewSamplesError("fewer than two usable samples; cannot form errors")
     scale = 1.0 / epsilon ** 2 if epsilon > 0 else 1.0
     estimates = mean_d * scale
     stderrs = np.sqrt(m2_d / (used - 1)) / math.sqrt(used) * scale

@@ -220,6 +220,8 @@ class TestMcCovariance:
         assert rep.used == 31
         assert rep.excluded == [(0, 0.25)]
         assert rep.invalid
+        assert json.loads(rep.to_json())["excluded"] == [{"index": 0, "time": 0.25}]
+        assert '"index": 0,' in rep.to_json()
 
     def test_theory_window_warning(self):
         with pytest.warns(cov.TheoryWindowWarning):

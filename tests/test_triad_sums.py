@@ -103,17 +103,16 @@ def test_g_against_loop(model, nmax, kurtosis):
     spec, loop = setup(model, nmax)
     modes = stored(model, nmax)
     times = np.array([0.4, 1.3])
+    want = np.array([[loop.g(n, kurtosis, t, tilde_f_kernel) for n in modes] for t in times])
+    shape = dsp.stored_shape(model.dimension, nmax)
+    table, _ = cov.g_table(spec, kurtosis, model, times[1])
+    assert_close(table, want[1].reshape(shape))
+    table, _ = cov.g_table(spec, kurtosis, model, times)
+    assert_close(table, want.reshape((2,) + shape))
     for kernel, single in ((tilde_f_kernel, cov.g_total), (sinc_kernel, cov.g_rate)):
-        want = np.array([[loop.g(n, kurtosis, t, kernel) for n in modes] for t in times])
-        shape = dsp.stored_shape(model.dimension, nmax)
         got = [single(label(model, n), spec, kurtosis, model, times[1], warn=False)
                for n in modes]
-        assert_close(got, want[1])
-        if single is cov.g_total:
-            table, _ = cov.g_table(spec, kurtosis, model, times[1])
-            assert_close(table, want[1].reshape(shape))
-            table, _ = cov.g_table(spec, kurtosis, model, times)
-            assert_close(table, want.reshape((2,) + shape))
+        assert_close(got, [loop.g(n, kurtosis, times[1], kernel) for n in modes])
         # the other half-lattice: n -> -n
         neg = [tuple(-c for c in n) for n in modes]
         got = [single(label(model, n), spec, kurtosis, model, times[0], warn=False) for n in neg]
