@@ -11,7 +11,7 @@ from .dispersion import (
 )
 from .field import (
     SpectralField, apply_j, apply_semigroup, coefficient, field_from_modes,
-    full_array, l2_norm, sobolev_norm, zero_field,
+    full_array, sobolev_norm, zero_field,
 )
 from .kernels import f_kernel, sinc_kernel, tilde_f_kernel
 from .picard import (

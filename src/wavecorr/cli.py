@@ -163,6 +163,9 @@ class RunConfig:
         dt = get("run.dt", float)
         if dt <= 0:
             raise ConfigError("run.dt must be positive")
+        seed = get("run.seed", int)
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"run.seed must lie in [0, 2^64), got {seed}")
         samples = get("run.samples", int)
         if samples < 2:
             raise ConfigError("run.samples must be at least 2")
@@ -181,7 +184,7 @@ class RunConfig:
             spectrum_alpha=get("spectrum.alpha", float, nullable=True),
             spectrum_force=get("spectrum.force", bool),
             law=law, epsilon=epsilon, times=times, dt=dt, samples=samples,
-            seed=get("run.seed", int), workers=workers, batch=batch,
+            seed=seed, workers=workers, batch=batch,
             budget=get("run.budget", float),
             resonance_threshold=get("resonances.threshold", float),
             diagnostics_draws=get("diagnostics.draws", int),
@@ -264,7 +267,7 @@ def cmd_resonances(cfg):
         detail = (f"lemma bound violated: min ratio {least:.17g}" if alarm
                   else f"min |delta|/(3|n1 k1 l1|) = {least:.17g}")
     elif model.kind == "bbm":
-        magnitude = dispersion.bbm_delta_lemma_magnitude(first[n, 0], first[k, 0], first[l, 0])
+        magnitude = np.abs(dispersion.bbm_delta_factored(first[n, 0], first[k, 0], first[l, 0]))
         alarm = abs_d.size > 0 and (
             smallest == 0.0 or float(np.max(np.abs(abs_d - magnitude) / magnitude)) > 1e-12)
         if alarm:
@@ -342,7 +345,7 @@ def cmd_covariance(cfg):
     ensemble = cfg.ensemble(gated=True)
     t = cfg.times[0]
     grid = solver.padded_length(cfg.nmax)
-    work = cfg.samples * max(1, int(np.ceil(t / cfg.dt))) * 4 * grid ** cfg.model.dimension
+    work = cfg.samples * solver.step_count(t, cfg.dt) * 4 * grid ** cfg.model.dimension
     if work > cfg.budget:
         raise ConfigError(
             f"estimated work {work:.3g} exceeds run.budget {cfg.budget:.3g} "
@@ -358,7 +361,7 @@ def cmd_covariance(cfg):
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     json_path = _outfile(cfg, "covariance.json")
     json_path.write_text(report.to_json(), encoding="utf-8")
-    verdict = cov.compare_prediction(report, decay_fit=True)
+    verdict = cov.compare_prediction(report)
     print(f"covariance: {report.used}/{report.samples} samples used, "
           f"{len(report.excluded)} excluded -> {csv_path}")
     print(f"covariance: fraction of modes with |z| <= 3: {verdict.fraction_within_3:.4f}")
@@ -483,7 +486,7 @@ def _check_semigroup():
 def _check_dealias():
     rng = np.random.default_rng(11)
     for dim, nm in ((1, 5), (2, 3)):
-        f = fld.random_field(dim, nm, rng, scale=1.0)
+        f = fld.random_field(dim, nm, rng)
         sq = solver.dealiased_square(f)
         a = fld.full_array(f)
         worst = 0.0

@@ -122,23 +122,23 @@ def _single_mode(spectrum, n):
     return mode
 
 
-def _g_eval(n, spectrum, kurtosis, model, t, kernel, warn):
+def _g_eval(n, spectrum, kurtosis, model, t, kernel):
     values, dropped = _g_values(spectrum, kurtosis, model, t, kernel, _single_mode(spectrum, n))
-    if dropped[0] and warn:
+    if dropped[0]:
         warnings.warn(
             f"mode {n!r}: doubled mode outside the truncation, kurtosis term dropped",
             TruncationWarning, stacklevel=3)
     return float(values[0])
 
 
-def g_rate(n, spectrum, kurtosis, model, t, warn=True):
+def g_rate(n, spectrum, kurtosis, model, t):
     """dG_n/dt at time t (vanishes identically at t = 0)."""
-    return _g_eval(n, spectrum, kurtosis, model, t, sinc_kernel, warn)
+    return _g_eval(n, spectrum, kurtosis, model, t, sinc_kernel)
 
 
-def g_total(n, spectrum, kurtosis, model, t, warn=True):
+def g_total(n, spectrum, kurtosis, model, t):
     """G_n(lambda, t); the time integral of g_rate, zero at t = 0."""
-    return _g_eval(n, spectrum, kurtosis, model, t, tilde_f_kernel, warn)
+    return _g_eval(n, spectrum, kurtosis, model, t, tilde_f_kernel)
 
 
 def g_total_terms(n, spectrum, kurtosis, model, t):
@@ -426,17 +426,11 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
 
 @dataclass
 class ComparisonVerdict:
-    n_modes: int
     fraction_within_3: float
     decay_slope: Optional[float] = None
     decay_bound: Optional[float] = None
     decay_ok: Optional[bool] = None
     decay_skipped: bool = True
-    shells: int = 0
-
-    @property
-    def passed(self):
-        return self.fraction_within_3 >= 0.95 and (self.decay_skipped or self.decay_ok)
 
 
 _MIN_SHELLS = 4  # shells (l1 sizes with a nonzero value) a decay fit needs
@@ -457,25 +451,21 @@ def fit_decay_slope(mode_l1, values):
     return float(np.polyfit(xs, ys, 1)[0]), len(pts)
 
 
-def compare_prediction(report, decay_fit=False):
-    """Z-score summary of a report, optionally with the decay-envelope fit.
+def compare_prediction(report):
+    """Z-score summary of a report, with the decay-envelope fit of its G_n.
 
     The envelope exponent takes the datum regularity half a unit inside the
     profile's summability supremum (the supremum itself is not attained).
     """
-    finite = np.isfinite(report.zscores)
-    within = np.abs(np.where(finite, report.zscores, np.inf)) <= 3.0
+    within = np.abs(report.zscores) <= 3.0  # false for nan
     verdict = ComparisonVerdict(
-        n_modes=len(report.zscores),
         fraction_within_3=float(np.mean(within)) if len(report.zscores) else 1.0)
-    if decay_fit:
-        spectrum = report.ensemble.spectrum
-        size = dispersion.mode_l1(spectrum.dimension, spectrum.nmax)
-        slope, shells = fit_decay_slope(size, report.g_pred)
-        verdict.shells = shells
-        if slope is not None:
-            verdict.decay_skipped = False
-            verdict.decay_slope = slope
-            verdict.decay_bound = _decay_exponent(report.model, spectrum.effective_s - 0.5) + 0.5
-            verdict.decay_ok = slope <= verdict.decay_bound
+    spectrum = report.ensemble.spectrum
+    slope, _ = fit_decay_slope(dispersion.mode_l1(spectrum.dimension, spectrum.nmax),
+                               report.g_pred)
+    if slope is not None:
+        verdict.decay_skipped = False
+        verdict.decay_slope = slope
+        verdict.decay_bound = _decay_exponent(report.model, spectrum.effective_s - 0.5) + 0.5
+        verdict.decay_ok = slope <= verdict.decay_bound
     return verdict

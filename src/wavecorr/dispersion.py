@@ -34,12 +34,12 @@ import numpy as np
 __all__ = [
     "DispersionModel", "KDV", "BBM", "KPI", "KPII", "MODELS", "get_model",
     "omega", "phi", "delta", "omega_exact", "delta_exact",
-    "bbm_delta_factored", "bbm_delta_lemma_magnitude",
+    "bbm_delta_factored",
     "kp_delta_factored", "kpii_delta_bound",
     "stored_shape", "mode_grids", "mode_l1", "mode_list", "mode_label", "box_index",
     "stored_modes", "full_shape", "full_mode_grids", "full_modes", "flat_index",
     "omega_grid", "phi_grid", "omega_full", "phi_full",
-    "triad_blocks", "triad_sums", "enumerate_triads", "delta_triads", "max_abs_delta",
+    "triad_blocks", "triad_sums", "enumerate_triads", "max_abs_delta",
 ]
 
 
@@ -181,11 +181,6 @@ def bbm_delta_factored(n, k, l):
     num = -n * k * l * (3.0 + k * k + k * l + l * l)
     den = (1.0 + n * n) * (1.0 + k * k) * (1.0 + l * l)
     return num / den
-
-
-def bbm_delta_lemma_magnitude(n, k, l):
-    """|nkl(k^2+l^2+kl+3)| / ((1+n^2)(1+k^2)(1+l^2)), the no-resonance lemma size."""
-    return np.abs(bbm_delta_factored(n, k, l))
 
 
 def kp_delta_factored(model, n, k, l):
@@ -375,13 +370,6 @@ def enumerate_triads(dim, nmax):
     full = full_modes(dim, nmax)
     blocks = list(triad_blocks(dim, nmax)) or [(np.empty(0, dtype=np.intp),) * 3]
     return tuple(full[np.concatenate(part)] for part in zip(*blocks))
-
-
-def delta_triads(model, n, k, l):
-    """Mismatch evaluated from omega on triad mode arrays of shape (T, dim)."""
-    def om(m):
-        return _OMEGA[model.kind](*(m[:, j].astype(float) for j in range(model.dimension)))
-    return om(k) + om(l) - om(n)
 
 
 @lru_cache(maxsize=None)

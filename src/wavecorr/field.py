@@ -25,7 +25,7 @@ from . import dispersion
 __all__ = [
     "SpectralField", "zero_field", "field_from_modes", "random_field",
     "coefficient", "full_array", "apply_semigroup", "apply_j",
-    "sobolev_norm", "l2_norm",
+    "sobolev_norm",
 ]
 
 
@@ -73,11 +73,11 @@ def field_from_modes(dim, nmax, modes):
     return SpectralField(nmax, full[nmax + 1:])
 
 
-def random_field(dim, nmax, rng, scale=1.0):
+def random_field(dim, nmax, rng):
     """Gaussian coefficients with a soft exponential envelope; test helper."""
     shape = dispersion.stored_shape(dim, nmax)
     size = np.abs(dispersion.mode_l1(dim, nmax))
-    amp = scale * np.exp(-0.5 * size)
+    amp = np.exp(-0.5 * size)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SpectralField(nmax, amp * z / np.sqrt(2.0))
 
@@ -116,6 +116,3 @@ def sobolev_norm(field, s):
     weight = dispersion.mode_l1(field.dimension, field.nmax).astype(float) ** (2.0 * s)
     return float(np.sqrt(2.0 * np.sum(weight * np.abs(field.coeffs) ** 2)))
 
-
-def l2_norm(field):
-    return sobolev_norm(field, 0.0)

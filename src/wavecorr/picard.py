@@ -107,22 +107,36 @@ class PicardDecomposition:
             + self.epsilon ** 2 * self.remainder.coeffs)
 
 
-def decompose(u0, model, epsilon, t, dt=2e-3):
+def _remainders(u0, model, epsilon, times, dt):
+    """Remainders c = (v - u0 - eps b) / eps^2 at `times`, from one solve.
+
+    Returns the (t, b, c) triples in increasing t, up to the time at which
+    the trajectory loses finiteness, and that time (inf when it does not).
+    """
+    if epsilon <= 0.0:
+        raise ValueError("remainder extraction needs epsilon > 0")
+    _, snaps, alive, blow = evolve_array(model, epsilon, u0.coeffs, dt, max(times),
+                                         snapshot_times=times)
+    cutoff = math.inf if alive else float(blow)
+    rows = []
+    for t, v in snaps:
+        if t >= cutoff:
+            break
+        b = first_iterate_closed_form(u0, model, t)
+        rows.append((t, b, u0.with_coeffs((v - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)))
+    return rows, cutoff
+
+
+def decompose(u0, model, epsilon, t, dt):
     """Solve, subtract the closed-form iterate, and return the decomposition.
 
     Raises SolverBlowUp when the trajectory loses finiteness.
     """
-    if epsilon <= 0.0:
-        raise ValueError("remainder extraction needs epsilon > 0")
-    b = first_iterate_closed_form(u0, model, t)
-    if t == 0.0:
-        c = u0.with_coeffs(np.zeros_like(u0.coeffs))
-        return PicardDecomposition(0.0, epsilon, u0, b, c)
-    final, _, alive, blow = evolve_array(model, epsilon, u0.coeffs, min(dt, t), t)
-    if not alive:
-        raise SolverBlowUp(float(blow))
-    c = u0.with_coeffs((final - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)
-    return PicardDecomposition(t, epsilon, u0, b, c)
+    rows, blow = _remainders(u0, model, epsilon, [t], dt)
+    if blow < math.inf:
+        raise SolverBlowUp(blow)
+    (time, b, c), = rows
+    return PicardDecomposition(time, epsilon, u0, b, c)
 
 
 @dataclass
@@ -151,34 +165,13 @@ class GrowthScan:
         return "\n".join(lines) + "\n"
 
 
-def remainder_growth_scan(u0, model, epsilon, time_grid, dt=2e-3):
+def remainder_growth_scan(u0, model, epsilon, time_grid, dt):
     """Extract c along the grid from a single solve; fits a power law in t.
 
     A solver blow-up truncates the table at the failure time and flags it.
     """
-    if epsilon <= 0.0:
-        raise ValueError("remainder extraction needs epsilon > 0")
-    grid = sorted(set(float(t) for t in time_grid))
-    if any(t < 0 for t in grid):
-        raise ValueError("time grid must be nonnegative")
+    rows, blow = _remainders(u0, model, epsilon, time_grid, dt)
     # BBM's natural remainder energy is H^1; the KP family (and KdV) use L^2
     order = 1.0 if model.kind == "bbm" else 0.0
-    scan = GrowthScan(model.kind, epsilon, u0.nmax, [])
-    positive = [t for t in grid if t > 0.0]
-    if 0.0 in grid:
-        scan.rows.append((0.0, 0.0))
-    if not positive:
-        return scan
-    final, snaps, alive, blow = evolve_array(
-        model, epsilon, u0.coeffs, min(dt, min(positive)), positive[-1],
-        snapshot_times=positive)
-    died = not bool(np.all(alive))
-    cutoff = float(blow) if died else math.inf
-    for t_i, v_i in snaps:
-        if t_i >= cutoff:
-            scan.truncated = True
-            break
-        b = first_iterate_closed_form(u0, model, t_i)
-        c = u0.with_coeffs((v_i - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)
-        scan.rows.append((t_i, sobolev_norm(c, order)))
-    return scan
+    return GrowthScan(model.kind, epsilon, u0.nmax,
+                      [(t, sobolev_norm(c, order)) for t, _, c in rows], blow < math.inf)

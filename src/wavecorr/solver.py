@@ -29,7 +29,7 @@ from . import dispersion
 __all__ = [
     "SolverBlowUp", "StepAccuracyWarning",
     "padded_length", "dealiased_square", "interaction_rhs",
-    "evolve_array", "conserved_functional",
+    "step_count", "evolve_array", "conserved_functional",
 ]
 
 
@@ -121,6 +121,11 @@ def _rk4_step(rhs, eps, t, h, v):
     return v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def step_count(span, dt):
+    """RK4 steps of at most dt (to rounding) that `evolve_array` takes across `span`."""
+    return max(1, int(np.ceil(span / dt - 1e-9))) if span > 0 else 0
+
+
 def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=0.0):
     """Integrate the interaction-picture equation from t_start to t_final.
 
@@ -129,10 +134,13 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     `snaps` is a list of (time, array) pairs, hit exactly by shortening
     steps, `alive` a boolean batch mask, `blow_time` the time at which each
     dead trajectory lost finiteness (nan when alive).  Raises ValueError for
-    a final time before the start, a step that is not a positive finite
-    number, or coefficients whose trailing shape is not the model's stored
-    lattice; warns when dt under-resolves the fastest nonlinear phase.
+    a non-finite time, a final time before the start, a step that is not a
+    positive finite number, or coefficients whose trailing shape is not the
+    model's stored lattice; warns when dt under-resolves the fastest
+    nonlinear phase.
     """
+    if not (np.isfinite(t_start) and np.isfinite(t_final)):
+        raise ValueError(f"times must be finite, got t_start={t_start}, t_final={t_final}")
     if t_final < t_start:
         raise ValueError(f"t_final={t_final} precedes t_start={t_start}")
     if not (np.isfinite(dt) and dt > 0):
@@ -143,8 +151,12 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     if len(shape) < dim or shape[-dim:] != dispersion.stored_shape(dim, nmax):
         raise ValueError(f"coefficient shape {shape} does not end in a stored "
                          f"lattice of model {model.kind}")
+    snap_set = sorted(set(float(s) for s in snapshot_times))
+    for s in snap_set:
+        if not t_start - 1e-12 <= s <= t_final + 1e-12:  # false for nan
+            raise ValueError(f"snapshot time {s} outside [{t_start}, {t_final}]")
     fastest = dispersion.max_abs_delta(model, nmax) if eps != 0 else 0.0
-    if dt * fastest > 3.0:
+    if min(dt, t_final - t_start) * fastest > 3.0:  # no step outlasts the span
         warnings.warn(
             f"dt={dt:g} under-resolves the fastest nonlinear phase of "
             f"the nmax={nmax} truncation (max |delta| = {fastest:.6g}); "
@@ -158,12 +170,8 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     blow_time = np.full(lead, np.nan)
 
     spectral_axes = tuple(range(-dim, 0))
-    snap_set = sorted(set(float(s) for s in snapshot_times))
-    for s in snap_set:
-        if s < t_start - 1e-12 or s > t_final + 1e-12:
-            raise ValueError(f"snapshot time {s} outside [{t_start}, {t_final}]")
     snaps = []
-    targets = [s for s in snap_set if s > t_start + 1e-12] or []
+    targets = [s for s in snap_set if s > t_start + 1e-12]
     if not targets or targets[-1] < t_final - 1e-12:
         targets = targets + [t_final]
     if snap_set and abs(snap_set[0] - t_start) <= 1e-12:
@@ -174,9 +182,9 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     with np.errstate(invalid="ignore", over="ignore"):
         for target in targets:
             span = target - t_seg
-            if span <= 0:
+            nsteps = step_count(span, dt)
+            if not nsteps:
                 continue
-            nsteps = max(1, int(np.ceil(span / dt - 1e-9)))
             h = span / nsteps
             for i in range(nsteps):
                 t_now = t_seg + i * h

@@ -34,7 +34,7 @@ def decaying_datum(dim, nmax, seed, rate, scale=1.0):
 def test_1_triad_exactness():
     """Exhaustive triad checks: KP at nmax=8 (2-d), KdV/BBM at nmax=16 (1-d)."""
     n2, k2, l2 = dsp.enumerate_triads(2, 8)
-    d_kpii = dsp.delta_triads(dsp.KPII, n2, k2, l2)
+    d_kpii = dsp.delta(dsp.KPII, n2, k2, l2)
     ratio = np.abs(d_kpii) / dsp.kpii_delta_bound(n2, k2, l2)
     kpii_ok = bool(np.all(ratio >= 1.0 - 1e-12))
     # near-unit ratios re-verified in exact rational arithmetic
@@ -43,14 +43,14 @@ def test_1_triad_exactness():
         bound = 3 * abs(int(n2[i][0]) * int(k2[i][0]) * int(l2[i][0]))
         kpii_ok = kpii_ok and abs(exact) >= bound
 
-    d_kpi = dsp.delta_triads(dsp.KPI, n2, k2, l2)
+    d_kpi = dsp.delta(dsp.KPI, n2, k2, l2)
     ref = dsp.kp_delta_factored(dsp.KPI, n2, k2, l2)
     kpi_rel = float(np.max(np.abs(d_kpi - ref) / np.abs(ref)))
     pell_ok = dsp.delta_exact(dsp.KPI, (8, 15), (1, 14), (7, 1)) == Fraction(1, 56)
 
     n1, k1, l1 = dsp.enumerate_triads(1, 16)
-    d_bbm = dsp.delta_triads(dsp.BBM, n1, k1, l1)
-    mag = dsp.bbm_delta_lemma_magnitude(n1[:, 0], k1[:, 0], l1[:, 0])
+    d_bbm = dsp.delta(dsp.BBM, n1[:, 0], k1[:, 0], l1[:, 0])
+    mag = np.abs(dsp.bbm_delta_factored(n1[:, 0], k1[:, 0], l1[:, 0]))
     bbm_min = float(np.min(np.abs(d_bbm)))
     bbm_rel = float(np.max(np.abs(np.abs(d_bbm) - mag) / mag))
 

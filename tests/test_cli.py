@@ -69,6 +69,16 @@ class TestConfig:
     def test_non_integer_rejected(self, tmp_path):
         assert run_cli(tmp_path, "predict", "--set", "grid.nmax=2.5") == 64
 
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys):
+        # the sampler keys Philox with 64 bits: 2^64 would rerun seed 0, -1 seed 2^64 - 1
+        for seed in (0, 2 ** 64 - 1):
+            mapping = cli.load_config(None, [f"run.seed={seed}"])
+            assert cli.RunConfig.from_mapping(mapping).seed == seed
+        for seed in (-1, 2 ** 64):
+            assert run_cli(tmp_path, "predict", "--set", f"run.seed={seed}") == 64
+            assert capsys.readouterr().err.splitlines() == [
+                f"config error: run.seed must lie in [0, 2^64), got {seed}"]
+
     def test_regularity_gate_applies_to_dynamics(self, tmp_path):
         code = run_cli(tmp_path, "covariance", "--set", "model=kpii",
                        "--set", "spectrum.alpha=2.0", "--set", "run.samples=4")
@@ -203,6 +213,14 @@ class TestCovarianceCommand:
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=300000") == 0
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=255999") == 64
         assert solver.padded_length(6) == 20
+
+    def test_budget_counts_the_steps_the_solver_takes(self, tmp_path):
+        # t=2.1, dt=0.3: 7 steps (2.1 / 0.3 rounds just above 7), so the work
+        # is 4 samples x 7 steps x 4 stages x 20 points = 2240
+        args = ("covariance", "--set", "grid.nmax=6", "--set", "run.samples=4",
+                "--set", "run.t=2.1", "--set", "run.dt=0.3", "--set", "run.epsilon=0.04")
+        assert run_cli(tmp_path, *args, "--set", "run.budget=2240") == 0
+        assert run_cli(tmp_path, *args, "--set", "run.budget=2239") == 64
 
     def test_coarse_default_step_warns(self, tmp_path):
         # KdV nmax=16 at the default run.dt=2e-3: dt * max|delta| = 6.1 > 3

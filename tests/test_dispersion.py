@@ -101,7 +101,7 @@ class TestFactoredOracles:
         k, l = k[keep].astype(float), l[keep].astype(float)
         n = k + l
         d = (dsp.omega(dsp.BBM, k) + dsp.omega(dsp.BBM, l) - dsp.omega(dsp.BBM, n))
-        mag = dsp.bbm_delta_lemma_magnitude(n, k, l)
+        mag = np.abs(dsp.bbm_delta_factored(n, k, l))
         assert np.min(np.abs(d)) > 0
         assert np.max(np.abs(np.abs(d) - mag) / mag) < 1e-12
         signed = dsp.bbm_delta_factored(n, k, l)
@@ -109,7 +109,7 @@ class TestFactoredOracles:
 
     def test_kpii_lower_bound_with_equality_on_1d_triads(self):
         n, k, l = dsp.enumerate_triads(2, 8)
-        d = dsp.delta_triads(dsp.KPII, n, k, l)
+        d = dsp.delta(dsp.KPII, n, k, l)
         ratio = np.abs(d) / dsp.kpii_delta_bound(n, k, l)
         assert np.all(ratio >= 1.0 - 1e-12)
         flat = (k[:, 1] == 0) & (l[:, 1] == 0)
@@ -117,13 +117,13 @@ class TestFactoredOracles:
 
     def test_kpi_factored_identity(self):
         n, k, l = dsp.enumerate_triads(2, 8)
-        d = dsp.delta_triads(dsp.KPI, n, k, l)
+        d = dsp.delta(dsp.KPI, n, k, l)
         ref = dsp.kp_delta_factored(dsp.KPI, n, k, l)
         assert np.max(np.abs(d - ref) / np.abs(ref)) < 1e-12
 
     def test_kdv_integer_divisors(self):
         n, k, l = dsp.enumerate_triads(1, 16)
-        d = dsp.delta_triads(dsp.KDV, n, k, l)
+        d = dsp.delta(dsp.KDV, n[:, 0], k[:, 0], l[:, 0])
         expected = -3.0 * n[:, 0] * k[:, 0] * l[:, 0]
         assert np.array_equal(d, expected)
         assert np.min(np.abs(d)) >= 6.0

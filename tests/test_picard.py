@@ -82,7 +82,7 @@ class TestQuadrature:
         slopes = []
         for t in times:
             b = pic.first_iterate_quadrature(u0, dsp.KPI, t, panels=int(400 * t))
-            slopes.append(fld.l2_norm(b) / t)
+            slopes.append(fld.sobolev_norm(b, 0.0) / t)
         assert max(slopes) / min(slopes) < 1.1
 
 
@@ -106,7 +106,7 @@ class TestFirstHarmonic:
 
 class TestRemainder:
     def test_zero_datum(self):
-        c = pic.decompose(fld.zero_field(1, 6), dsp.BBM, 0.1, 1.0).remainder
+        c = pic.decompose(fld.zero_field(1, 6), dsp.BBM, 0.1, 1.0, dt=2e-3).remainder
         assert np.all(c.coeffs == 0.0)
 
     def test_decomposition_reconstructs_solution(self):
@@ -134,7 +134,7 @@ class TestRemainder:
 
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
-            pic.decompose(smooth_field(1, 4, 8), dsp.BBM, 0.0, 1.0)
+            pic.decompose(smooth_field(1, 4, 8), dsp.BBM, 0.0, 1.0, dt=2e-3)
 
     def test_bbm_remainder_stable_under_grid_refinement(self):
         # same smooth datum embedded in two truncations: the scaled H^1 size
@@ -153,7 +153,7 @@ class TestRemainder:
 
 class TestGrowthScan:
     def test_zero_grid(self):
-        scan = pic.remainder_growth_scan(smooth_field(1, 6, 9), dsp.BBM, 0.1, [0.0])
+        scan = pic.remainder_growth_scan(smooth_field(1, 6, 9), dsp.BBM, 0.1, [0.0], dt=2e-3)
         assert scan.rows == [(0.0, 0.0)]
         assert scan.fitted_exponent is None
         assert not scan.truncated
@@ -179,6 +179,20 @@ class TestGrowthScan:
         u0 = fld.field_from_modes(2, 16, {(1, 14): 0.15, (7, 1): 0.15})
         with pytest.raises(ValueError, match="dt must be a positive finite number"):
             pic.remainder_growth_scan(u0, dsp.KPI, 0.05, [0.5, 1.0], dt=-1)
+
+    def test_nan_time_rejected(self):
+        # a NaN grid time is an error, not a silently missing row
+        with pytest.raises(ValueError, match="nan"):
+            pic.remainder_growth_scan(smooth_field(1, 6, 9), dsp.KDV, 0.1, [np.nan, 1.0],
+                                      dt=1e-2)
+
+    def test_time_zero_row_is_exactly_zero(self):
+        scan = pic.remainder_growth_scan(smooth_field(1, 6, 9), dsp.BBM, 0.1, [0.5, 0.0],
+                                         dt=5e-3)
+        assert [t for t, _ in scan.rows] == [0.0, 0.5]
+        assert scan.rows[0][1] == 0.0 and scan.rows[1][1] > 0.0
+        dec = pic.decompose(smooth_field(1, 6, 9), dsp.BBM, 0.1, 0.0, dt=5e-3)
+        assert dec.time == 0.0 and not np.any(dec.remainder.coeffs)
 
     def test_no_resonance_sup_attained_early(self):
         # BBM and KP-II: sup over [0,100] of ||b(t)|| moves < 5% between the

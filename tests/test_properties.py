@@ -1,14 +1,17 @@
 """Property tests: the Hermitian mirror, the semigroup, kernel continuity,
-batch-row independence of the stepper and its conserved functionals."""
+batch-row independence of the stepper, its conserved functionals, and the
+Monte Carlo report's independence of the worker count and batch layout."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavecorr import covariance as cov
 from wavecorr import dispersion as dsp
 from wavecorr import field as fld
 from wavecorr import kernels as krn
+from wavecorr import sampling as smp
 from wavecorr import solver as slv
 
 # derandomized, so every run draws the same examples
@@ -134,3 +137,28 @@ def test_solves_conserve_the_functional(model, data):
     after = slv.conserved_functional(model, field.with_coeffs(final))
     assert alive
     assert abs(after - before) <= 1e-8 * before
+
+
+# each example starts a process pool, so few of them
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(st.integers(4, 40), st.integers(0, 2**64 - 1), st.sampled_from([4, 8]), st.data())
+def test_mc_report_independent_of_workers_and_batches(samples, seed, nmax, data):
+    batch = data.draw(st.integers(1, samples // 2))  # at least two batches, so the pool runs
+    ensemble = smp.EnsembleConfig(smp.complex_gaussian(),
+                                  smp.build_spectrum("sobolev", 3.0, nmax, 1), samples, seed)
+
+    def report(workers, batch_size):
+        return cov.mc_covariance(ensemble, dsp.BBM, 0.05, 0.5, 0.05,
+                                 workers=workers, batch_size=batch_size)
+
+    serial, pooled = report(1, batch), report(2, batch)
+    assert serial.to_csv() == pooled.to_csv()
+    assert serial.to_json() == pooled.to_json()
+    # another batch layout merges the same per-sample statistics in another
+    # order: equal up to rounding (measured at most 1e-15 relative)
+    whole = report(1, samples)
+    assert serial.used == whole.used == samples
+    assert np.array_equal(serial.g_pred, whole.g_pred)
+    scale = np.max(np.abs(whole.estimates))
+    assert np.all(np.abs(serial.estimates - whole.estimates) <= 1e-12 * scale)
+    assert np.all(np.abs(serial.stderrs - whole.stderrs) <= 1e-12 * whole.stderrs)

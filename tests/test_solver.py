@@ -170,6 +170,34 @@ class TestEvolve:
         with pytest.raises(ValueError, match="precedes t_start"):
             slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 0.1, 0.5, t_start=1.0)
 
+    @pytest.mark.parametrize("t_start,t_final", [(0.0, np.nan), (0.0, np.inf),
+                                                 (np.nan, 1.0), (-np.inf, 1.0)])
+    def test_non_finite_times_rejected(self, t_start, t_final):
+        u0 = steep_field(1, 4, seed=13)
+        with pytest.raises(ValueError, match="times must be finite"):
+            slv.evolve_array(dsp.KDV, 0.1, u0.coeffs, 0.1, t_final, t_start=t_start)
+
+    def test_nan_snapshot_time_rejected(self):
+        u0 = steep_field(1, 4, seed=13)
+        with pytest.raises(ValueError, match="snapshot time nan outside"):
+            slv.evolve_array(dsp.KDV, 0.1, u0.coeffs, 0.1, 1.0, snapshot_times=[np.nan, 0.5])
+
+    def test_step_count_is_the_steps_taken(self, monkeypatch):
+        # 2.1 / 0.3 rounds to 7.000000000000001, which is still 7 steps
+        taken, real = [], slv._rk4_step
+
+        def counted(rhs, eps, t, h, v):
+            taken.append(h)
+            return real(rhs, eps, t, h, v)
+
+        monkeypatch.setattr(slv, "_rk4_step", counted)
+        u0 = steep_field(1, 4, seed=13)
+        slv.evolve_array(dsp.BBM, 0.1, u0.coeffs, 0.3, 2.1)
+        assert len(taken) == slv.step_count(2.1, 0.3) == 7
+        assert max(taken) <= 0.3
+        slv.evolve_array(dsp.BBM, 0.1, u0.coeffs, 0.3, 0.0)
+        assert len(taken) == 7 and slv.step_count(0.0, 0.3) == 0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="stored lattice"):
             slv.evolve_array(dsp.KPI, 0.1, fld.zero_field(1, 4).coeffs, 0.1, 1.0)
@@ -184,6 +212,14 @@ class TestEvolve:
         with warnings.catch_warnings():  # free evolution has no phase to resolve
             warnings.simplefilter("error", slv.StepAccuracyWarning)
             solve(dsp.KDV, 0.0, u0, 0.05, 0.1)
+
+    def test_step_warning_reads_the_step_taken(self):
+        # a span shorter than dt is one step of that span, and 0.99 * 3 / 416
+        # resolves KP-II nmax=8
+        u0 = steep_field(2, 8, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", slv.StepAccuracyWarning)
+            solve(dsp.KPII, 0.1, u0, 1.0, 0.99 * 3.0 / 416.0)
 
     # KP-II nmax=8: the largest triad divisor is |delta| = 416
     @pytest.mark.parametrize("factor,warns", [(0.99, False), (1.01, True)])

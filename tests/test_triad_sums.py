@@ -99,6 +99,8 @@ def setup(model, nmax):
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
 @pytest.mark.parametrize("kurtosis", [2.0, 1.0])
+# the loop drops the kurtosis term of modes whose 2n leaves the box as well
+@pytest.mark.filterwarnings("ignore::wavecorr.covariance.TruncationWarning")
 def test_g_against_loop(model, nmax, kurtosis):
     spec, loop = setup(model, nmax)
     modes = stored(model, nmax)
@@ -110,12 +112,11 @@ def test_g_against_loop(model, nmax, kurtosis):
     table, _ = cov.g_table(spec, kurtosis, model, times)
     assert_close(table, want.reshape((2,) + shape))
     for kernel, single in ((tilde_f_kernel, cov.g_total), (sinc_kernel, cov.g_rate)):
-        got = [single(label(model, n), spec, kurtosis, model, times[1], warn=False)
-               for n in modes]
+        got = [single(label(model, n), spec, kurtosis, model, times[1]) for n in modes]
         assert_close(got, [loop.g(n, kurtosis, times[1], kernel) for n in modes])
         # the other half-lattice: n -> -n
         neg = [tuple(-c for c in n) for n in modes]
-        got = [single(label(model, n), spec, kurtosis, model, times[0], warn=False) for n in neg]
+        got = [single(label(model, n), spec, kurtosis, model, times[0]) for n in neg]
         assert_close(got, [loop.g(n, kurtosis, times[0], kernel) for n in neg])
 
 
