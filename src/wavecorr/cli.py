@@ -1,7 +1,8 @@
 """Batch front-end: configuration, experiment orchestration, report emission.
 
-Configuration is a flat JSON object with dotted keys (see DEFAULTS); any key
-can be overridden on the command line with --set key=value.  Commands:
+Configuration is a flat JSON object with dotted keys (the KEYS table gives
+each key's default and kind); any key can be overridden on the command line
+with --set key=value, and --out names the output directory.  Commands:
 
     resonances          triad catalog with the model's no-resonance checks
     predict             analytic covariance-correction table
@@ -33,27 +34,28 @@ from .kernels import f_kernel, sinc_kernel, tilde_f_kernel
 
 __all__ = ["main", "load_config", "RunConfig", "ConfigError", "verify_all"]
 
-DEFAULTS = {
-    "model": "bbm",
-    "grid.nmax": 16,
-    "spectrum.family": "sobolev",
-    "spectrum.alpha": 3.0,
-    "spectrum.force": False,
-    "law.kind": "complex-gaussian",
-    "law.kurtosis": None,
-    "run.epsilon": 0.05,
-    "run.t": 1.0,
-    "run.dt": 2e-3,
-    "run.samples": 256,
-    "run.seed": 1,
-    "run.workers": 1,
-    "run.batch": 128,
-    "run.budget": 2e10,
-    "resonances.threshold": 0.05,
-    "diagnostics.draws": 100000,
-    "diagnostics.s": None,
-    "out.dir": "out",
+# key: (default, kind, may be null); run.t also takes a list of times
+KEYS = {
+    "model": ("bbm", str, False),
+    "grid.nmax": (16, int, False),
+    "spectrum.family": ("sobolev", str, False),
+    "spectrum.alpha": (3.0, float, True),
+    "spectrum.force": (False, bool, False),
+    "law.kind": ("complex-gaussian", str, False),
+    "law.kurtosis": (None, float, True),
+    "run.epsilon": (0.05, float, False),
+    "run.t": (1.0, float, False),
+    "run.dt": (2e-3, float, False),
+    "run.samples": (256, int, False),
+    "run.seed": (1, int, False),
+    "run.workers": (1, int, False),
+    "run.batch": (128, int, False),
+    "run.budget": (2e10, float, False),
+    "diagnostics.draws": (100000, int, False),
 }
+
+# |delta| at or below which `resonances` counts a KP-I triad as near-resonant
+RESONANCE_THRESHOLD = 0.05
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -90,7 +92,7 @@ def _checked(key, value, kind, nullable=False):
 
 def load_config(path=None, overrides=()):
     """Merge defaults, an optional JSON file, and --set overrides."""
-    merged = dict(DEFAULTS)
+    merged = {key: default for key, (default, _, _) in KEYS.items()}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -100,7 +102,7 @@ def load_config(path=None, overrides=()):
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in data.items():
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
     for item in overrides:
@@ -108,7 +110,7 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             merged[key] = json.loads(raw)
@@ -119,111 +121,66 @@ def load_config(path=None, overrides=()):
 
 @dataclass
 class RunConfig:
-    """Validated run parameters shared by every command."""
+    """Checked config values by dotted key (`cfg["run.samples"]`), plus the
+    model, noise law and list of times resolved from them."""
 
+    values: dict
     model: dispersion.DispersionModel
-    nmax: int
-    spectrum_family: str
-    spectrum_alpha: object
-    spectrum_force: bool
     law: sampling.NoiseLaw
-    epsilon: float
     times: list
-    dt: float
-    samples: int
-    seed: int
-    workers: int
-    batch: int
-    budget: float
-    resonance_threshold: float
-    diagnostics_draws: int
-    diagnostics_s: object
-    out_dir: Path
+
+    def __getitem__(self, key):
+        return self.values[key]
 
     @classmethod
     def from_mapping(cls, cfg):
-        def get(key, kind, nullable=False):
-            return _checked(key, cfg[key], kind, nullable)
-
+        values = {}
+        for key, (_, kind, nullable) in KEYS.items():
+            raw = cfg[key]
+            many = key == "run.t" and isinstance(raw, (list, tuple))
+            values[key] = ([_checked(key, v, kind) for v in raw] if many
+                           else _checked(key, raw, kind, nullable))
         try:
-            model = dispersion.get_model(get("model", str))
+            model = dispersion.get_model(values["model"])
+            law = sampling.law_from_kurtosis(values["law.kind"], values["law.kurtosis"])
         except ValueError as exc:
             raise ConfigError(str(exc))
-        nmax = get("grid.nmax", int)
-        if nmax < 1:
+        if values["grid.nmax"] < 1:
             raise ConfigError("grid.nmax must be a positive integer")
-        epsilon = get("run.epsilon", float)
+        epsilon = values["run.epsilon"]
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigError(f"run.epsilon must lie in [0, 1], got {epsilon}")
-        raw_t = cfg["run.t"]
-        times = [_checked("run.t", v, float)
-                 for v in (raw_t if isinstance(raw_t, (list, tuple)) else [raw_t])]
+        times = values["run.t"] if isinstance(values["run.t"], list) else [values["run.t"]]
         if any(t < 0 for t in times) or not times:
             raise ConfigError("run.t must be a nonnegative time or list of times")
-        dt = get("run.dt", float)
-        if dt <= 0:
+        if values["run.dt"] <= 0:
             raise ConfigError("run.dt must be positive")
-        seed = get("run.seed", int)
+        seed = values["run.seed"]
         if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"run.seed must lie in [0, 2^64), got {seed}")
-        samples = get("run.samples", int)
-        if samples < 2:
+        if values["run.samples"] < 2:
             raise ConfigError("run.samples must be at least 2")
-        workers = get("run.workers", int)
-        batch = get("run.batch", int)
-        if workers < 1 or batch < 1:
+        if values["run.workers"] < 1 or values["run.batch"] < 1:
             raise ConfigError("run.workers and run.batch must be positive")
-        try:
-            law = sampling.law_from_kurtosis(get("law.kind", str),
-                                             get("law.kurtosis", float, nullable=True))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        return cls(
-            model=model, nmax=nmax,
-            spectrum_family=get("spectrum.family", str),
-            spectrum_alpha=get("spectrum.alpha", float, nullable=True),
-            spectrum_force=get("spectrum.force", bool),
-            law=law, epsilon=epsilon, times=times, dt=dt, samples=samples,
-            seed=seed, workers=workers, batch=batch,
-            budget=get("run.budget", float),
-            resonance_threshold=get("resonances.threshold", float),
-            diagnostics_draws=get("diagnostics.draws", int),
-            diagnostics_s=get("diagnostics.s", float, nullable=True),
-            out_dir=Path(get("out.dir", str)))
+        return cls(values, model, law, times)
 
     def spectrum(self, gated):
         """Build the profile; dynamics commands enforce the regularity floor."""
-        model = self.model if (gated and not self.spectrum_force) else None
+        model = self.model if (gated and not self["spectrum.force"]) else None
         try:
-            return sampling.build_spectrum(
-                self.spectrum_family, self.spectrum_alpha, self.nmax, self.model.dimension, model)
+            return sampling.build_spectrum(self["spectrum.family"], self["spectrum.alpha"],
+                                           self["grid.nmax"], self.model.dimension, model)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
     def ensemble(self, gated=True):
-        return sampling.EnsembleConfig(self.law, self.spectrum(gated), self.samples, self.seed)
+        return sampling.EnsembleConfig(self.law, self.spectrum(gated), self["run.samples"],
+                                       self["run.seed"])
 
 
-def _outfile(cfg, name):
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir / name
-
-
-def _triads_with_delta(model, nmax):
-    """Every triad as flat full-box index arrays (n, k, l), with delta from omega_full.
-
-    The order is `triad_blocks`': n ascending, k ascending within each n.
-    Blocks are kept as int32 (a box index is small): once freed they leave
-    heap holes that later arrays may not reuse, so their size bounds how far
-    the command's peak memory moves with the allocator's state.
-    """
-    om = dispersion.omega_full(model, nmax).ravel()
-    blocks = ([tuple(a.astype(np.int32) for a in block)
-               for block in dispersion.triad_blocks(model.dimension, nmax)]
-              or [(np.empty(0, dtype=np.int32),) * 3])
-    n, k, l = (np.concatenate(part) for part in zip(*blocks))
-    del blocks  # freed before the lookups below allocate: a lower peak
-    return n, k, l, om[k] + om[l] - om[n]
+def _outfile(out, name):
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +202,17 @@ def _formatted_once(values):
     return ["%.17g" % v for v in values[first].tolist()], group
 
 
-def cmd_resonances(cfg):
-    if cfg.nmax > 32:
+def cmd_resonances(cfg, out):
+    model, nmax = cfg.model, cfg["grid.nmax"]
+    if nmax > 32:
         raise ConfigError("resonance enumeration is budgeted for grid.nmax <= 32")
-    model = cfg.model
-    n, k, l, d = _triads_with_delta(model, cfg.nmax)
+    n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
+    om = dispersion.omega_full(model, nmax).ravel()
+    d = om[k] + om[l] - om[n]
     # delta is needed only as its sign bit and |delta|, which takes its memory
     negative = np.signbit(d)
     abs_d = np.abs(d, out=d)
-    full = dispersion.full_modes(model.dimension, cfg.nmax)
+    full = dispersion.full_modes(model.dimension, nmax)
     # the KP-II bound and the BBM lemma read only first components
     first = full[:, :1].astype(float)
 
@@ -278,8 +237,8 @@ def cmd_resonances(cfg):
             detail = "zero or sub-integer divisor found"
     else:
         alarm = False
-        near = int(np.sum(abs_d <= cfg.resonance_threshold))
-        detail += f"; {near} triads within threshold {cfg.resonance_threshold:g}"
+        near = int(np.sum(abs_d <= RESONANCE_THRESHOLD))
+        detail += f"; {near} triads within threshold {RESONANCE_THRESHOLD:g}"
 
     # Rows go by (|delta|, n, k, l) in lexicographic label order.  Flat
     # full-box indices are row-major over the labels, so they order as the
@@ -296,7 +255,7 @@ def cmd_resonances(cfg):
         values, ratio_group = np.unique(ratio, return_inverse=True)
         ratios = np.array(["," + "%.17g" % v for v in values.tolist()], dtype=object)
     labels = np.array([dispersion.mode_label(m) + "," for m in full.tolist()], dtype=object)
-    path = _outfile(cfg, "resonances.csv")
+    path = _outfile(out, "resonances.csv")
     with open(path, "w", encoding="utf-8") as fh:
         header = "n,k,l,delta,abs_delta" + (",bound_ratio" if ratio is not None else "")
         fh.write(header + "\n")
@@ -308,7 +267,7 @@ def cmd_resonances(cfg):
             if ratio is not None:
                 cells += ratios[ratio_group[rows]]
             fh.write("".join((cells + "\n").tolist()))
-    print(f"resonances: {model.kind} nmax={cfg.nmax}: {abs_d.size} triads -> {path}")
+    print(f"resonances: {model.kind} nmax={nmax}: {abs_d.size} triads -> {path}")
     print(f"resonances: {detail}")
     if alarm:
         print("resonances: NO-RESONANCE ASSERTION VIOLATED", file=sys.stderr)
@@ -320,10 +279,10 @@ def cmd_resonances(cfg):
 # predict
 # ---------------------------------------------------------------------------
 
-def cmd_predict(cfg):
+def cmd_predict(cfg, out):
     spectrum = cfg.spectrum(gated=False)
     rows = cov.prediction_table(spectrum, cfg.law.kurtosis, cfg.model, cfg.times)
-    path = _outfile(cfg, "predictions.csv")
+    path = _outfile(out, "predictions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,mode,l1,lambda_sq,g_total,envelope,warnings\n")
         for t, mode, size, lam2, g, env, flagged in rows:
@@ -339,27 +298,27 @@ def cmd_predict(cfg):
 # covariance
 # ---------------------------------------------------------------------------
 
-def cmd_covariance(cfg):
+def cmd_covariance(cfg, out):
     if len(cfg.times) != 1:
         raise ConfigError(f"covariance takes one time in run.t, got {len(cfg.times)}")
     ensemble = cfg.ensemble(gated=True)
-    t = cfg.times[0]
-    grid = solver.padded_length(cfg.nmax)
-    work = cfg.samples * solver.step_count(t, cfg.dt) * 4 * grid ** cfg.model.dimension
-    if work > cfg.budget:
+    t, dt, budget = cfg.times[0], cfg["run.dt"], cfg["run.budget"]
+    grid = solver.padded_length(cfg["grid.nmax"])
+    work = cfg["run.samples"] * solver.step_count(t, dt) * 4 * grid ** cfg.model.dimension
+    if work > budget:
         raise ConfigError(
-            f"estimated work {work:.3g} exceeds run.budget {cfg.budget:.3g} "
+            f"estimated work {work:.3g} exceeds run.budget {budget:.3g} "
             "(samples x steps x stages x grid points)")
     try:
         report = cov.mc_covariance(
-            ensemble, cfg.model, cfg.epsilon, t, cfg.dt,
-            workers=cfg.workers, batch_size=cfg.batch)
+            ensemble, cfg.model, cfg["run.epsilon"], t, dt,
+            workers=cfg["run.workers"], batch_size=cfg["run.batch"])
     except cov.TooFewSamplesError as exc:
         print(f"covariance: REPORT INVALID ({exc})", file=sys.stderr)
         return EXIT_INVALID_REPORT
-    csv_path = _outfile(cfg, "covariance.csv")
+    csv_path = _outfile(out, "covariance.csv")
     csv_path.write_text(report.to_csv(), encoding="utf-8")
-    json_path = _outfile(cfg, "covariance.json")
+    json_path = _outfile(out, "covariance.json")
     json_path.write_text(report.to_json(), encoding="utf-8")
     verdict = cov.compare_prediction(report)
     print(f"covariance: {report.used}/{report.samples} samples used, "
@@ -380,13 +339,14 @@ def cmd_covariance(cfg):
 # picard-scan
 # ---------------------------------------------------------------------------
 
-def cmd_picard_scan(cfg):
-    if cfg.epsilon <= 0:
+def cmd_picard_scan(cfg, out):
+    if cfg["run.epsilon"] <= 0:
         raise ConfigError("picard-scan needs run.epsilon > 0")
     ensemble = cfg.ensemble(gated=True)
     u0 = sampling.sample_initial_field(ensemble, 0)
-    scan = picard.remainder_growth_scan(u0, cfg.model, cfg.epsilon, cfg.times, cfg.dt)
-    path = _outfile(cfg, "picard_scan.csv")
+    scan = picard.remainder_growth_scan(
+        u0, cfg.model, cfg["run.epsilon"], cfg.times, cfg["run.dt"])
+    path = _outfile(out, "picard_scan.csv")
     path.write_text(scan.to_csv(), encoding="utf-8")
     exponent = scan.fitted_exponent
     print(f"picard-scan: {len(scan.rows)} rows -> {path}"
@@ -400,19 +360,18 @@ def cmd_picard_scan(cfg):
 # sample-diagnostics
 # ---------------------------------------------------------------------------
 
-def cmd_sample_diagnostics(cfg):
-    if cfg.diagnostics_draws < 10_000:
+def cmd_sample_diagnostics(cfg, out):
+    draws = cfg["diagnostics.draws"]
+    if draws < 10_000:
         raise ConfigError("diagnostics.draws must be at least 10000")
     ensemble = cfg.ensemble(gated=False)
-    moments = sampling.moment_report(cfg.law, cfg.diagnostics_draws, seed=cfg.seed)
-    s = cfg.diagnostics_s
-    s = max(0.0, ensemble.spectrum.effective_s) if s is None else float(s)
-    tail = sampling.tail_report(ensemble, cfg.diagnostics_draws, s)
-    path = _outfile(cfg, "diagnostics.json")
+    moments = sampling.moment_report(cfg.law, draws, seed=cfg["run.seed"])
+    tail = sampling.tail_report(ensemble, draws, max(0.0, ensemble.spectrum.effective_s))
+    path = _outfile(out, "diagnostics.json")
     payload = {"moments": json.loads(moments.to_json()),
                "tail": json.loads(tail.to_json())}
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    print(f"sample-diagnostics: draws={cfg.diagnostics_draws} law={cfg.law.kind} -> {path}")
+    print(f"sample-diagnostics: draws={draws} law={cfg.law.kind} -> {path}")
     print(f"sample-diagnostics: flagged moments: {moments.flagged or 'none'}; "
           f"tail slope: {tail.slope}")
     return EXIT_OK
@@ -422,21 +381,21 @@ def cmd_sample_diagnostics(cfg):
 # verify
 # ---------------------------------------------------------------------------
 
-def _triad_modes_with_delta(model, nmax):
-    """`_triads_with_delta` with the triads as (T, dim) mode arrays."""
-    n, k, l, d = _triads_with_delta(model, nmax)
-    full = dispersion.full_modes(model.dimension, nmax)
-    return full[n], full[k], full[l], d
-
-
 def _check_delta_oracles():
-    n, k, l, d = _triad_modes_with_delta(dispersion.BBM, 12)
+    def triads(model, nmax):
+        """Every triad as (T, dim) mode arrays n, k, l, and its delta from omega_full."""
+        n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
+        om = dispersion.omega_full(model, nmax).ravel()
+        full = dispersion.full_modes(model.dimension, nmax)
+        return full[n], full[k], full[l], om[k] + om[l] - om[n]
+
+    n, k, l, d = triads(dispersion.BBM, 12)
     ref = dispersion.bbm_delta_factored(n[:, 0], k[:, 0], l[:, 0])
     worst = float(np.max(np.abs(d - ref) / np.abs(ref)))
-    n, k, l, d = _triad_modes_with_delta(dispersion.KDV, 12)
+    n, k, l, d = triads(dispersion.KDV, 12)
     worst = max(worst, float(np.max(np.abs(d + 3.0 * n[:, 0] * k[:, 0] * l[:, 0]))))
     for model in (dispersion.KPI, dispersion.KPII):
-        n, k, l, d = _triad_modes_with_delta(model, 5)
+        n, k, l, d = triads(model, 5)
         ref = dispersion.kp_delta_factored(model, n, k, l)
         worst = max(worst, float(np.max(np.abs(d - ref) / np.abs(ref))))
         if model.kind == "kpii":
@@ -571,7 +530,7 @@ def verify_all():
     return results
 
 
-def cmd_verify(cfg):
+def cmd_verify(cfg, out):
     results = verify_all()
     width = max(len(name) for name, _, _ in results)
     failed = [name for name, ok, _ in results if not ok]
@@ -607,15 +566,12 @@ def main(argv=None):
                         help="JSON config file with flat dotted keys")
     parser.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                         dest="overrides", help="override a config key")
-    parser.add_argument("--out", metavar="DIR", default=None,
-                        help="output directory (overrides out.dir)")
+    parser.add_argument("--out", metavar="DIR", default="out",
+                        help="output directory (default: out)")
     args = parser.parse_args(argv)
     try:
-        mapping = load_config(args.config, args.overrides)
-        if args.out is not None:
-            mapping["out.dir"] = args.out
-        cfg = RunConfig.from_mapping(mapping)
-        return COMMANDS[args.command](cfg)
+        cfg = RunConfig.from_mapping(load_config(args.config, args.overrides))
+        return COMMANDS[args.command](cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -377,7 +377,7 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
                               batch_size, pairs)
     starts = range(0, ensemble.samples, batch_size)
     if workers > 1 and len(starts) > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(starts))) as pool:
             results = pool.map(batch, starts, chunksize=1)
     else:
         results = list(map(batch, starts))

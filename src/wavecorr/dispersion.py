@@ -366,10 +366,13 @@ def triad_sums(dim, nmax, weight, modes):
 
 
 def enumerate_triads(dim, nmax):
-    """Every triad as mode arrays (n, k, l) of shape (T, dim) (desk-scale nmax only)."""
-    full = full_modes(dim, nmax)
-    blocks = list(triad_blocks(dim, nmax)) or [(np.empty(0, dtype=np.intp),) * 3]
-    return tuple(full[np.concatenate(part)] for part in zip(*blocks))
+    """Every triad as flat full-box index arrays (n, k, l) in `triad_blocks`' order;
+    `full_modes(dim, nmax)[n]` gives the modes.  They are int32: freed blocks
+    leave heap holes that later arrays may not reuse, so their size bounds how
+    far a caller's peak memory moves with the allocator's state."""
+    blocks = ([tuple(a.astype(np.int32) for a in block) for block in triad_blocks(dim, nmax)]
+              or [(np.empty(0, dtype=np.int32),) * 3])
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 @lru_cache(maxsize=None)

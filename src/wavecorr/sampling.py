@@ -209,7 +209,9 @@ class EnsembleConfig:
 
 def sample_stream(seed, index):
     """Independent, reproducible stream for (master seed, sample index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+    if not 0 <= seed < 2 ** 64:  # the 64-bit Philox key would alias it
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 

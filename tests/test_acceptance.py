@@ -33,7 +33,8 @@ def decaying_datum(dim, nmax, seed, rate, scale=1.0):
 
 def test_1_triad_exactness():
     """Exhaustive triad checks: KP at nmax=8 (2-d), KdV/BBM at nmax=16 (1-d)."""
-    n2, k2, l2 = dsp.enumerate_triads(2, 8)
+    full = dsp.full_modes(2, 8)
+    n2, k2, l2 = (full[i] for i in dsp.enumerate_triads(2, 8))
     d_kpii = dsp.delta(dsp.KPII, n2, k2, l2)
     ratio = np.abs(d_kpii) / dsp.kpii_delta_bound(n2, k2, l2)
     kpii_ok = bool(np.all(ratio >= 1.0 - 1e-12))
@@ -48,7 +49,8 @@ def test_1_triad_exactness():
     kpi_rel = float(np.max(np.abs(d_kpi - ref) / np.abs(ref)))
     pell_ok = dsp.delta_exact(dsp.KPI, (8, 15), (1, 14), (7, 1)) == Fraction(1, 56)
 
-    n1, k1, l1 = dsp.enumerate_triads(1, 16)
+    full = dsp.full_modes(1, 16)
+    n1, k1, l1 = (full[i] for i in dsp.enumerate_triads(1, 16))
     d_bbm = dsp.delta(dsp.BBM, n1[:, 0], k1[:, 0], l1[:, 0])
     mag = np.abs(dsp.bbm_delta_factored(n1[:, 0], k1[:, 0], l1[:, 0]))
     bbm_min = float(np.min(np.abs(d_bbm)))

@@ -22,10 +22,11 @@ def run_cli(tmp_path, *args):
 def reference_catalog(model, nmax):
     """resonances.csv as a 7-key lexsort and per-row %d / %.17g formatting write it."""
     dim = model.dimension
-    n, k, l = dsp.enumerate_triads(dim, nmax)
+    ni, ki, li = dsp.enumerate_triads(dim, nmax)
     om = dsp.omega_full(model, nmax).ravel()
-    d = (om[dsp.flat_index(dim, nmax, k)] + om[dsp.flat_index(dim, nmax, l)]
-         - om[dsp.flat_index(dim, nmax, n)])
+    d = om[ki] + om[li] - om[ni]
+    full = dsp.full_modes(dim, nmax)
+    n, k, l = full[ni], full[ki], full[li]
     order = np.lexsort([m[:, c] for m in (l, k, n) for c in reversed(range(dim))] + [np.abs(d)])
     cols = [m[:, c] for m in (n, k, l) for c in range(dim)] + [d, np.abs(d)]
     header = "n,k,l,delta,abs_delta"
@@ -40,7 +41,7 @@ class TestConfig:
     def test_defaults_round_trip(self):
         cfg = cli.RunConfig.from_mapping(cli.load_config())
         assert cfg.model is dsp.BBM
-        assert cfg.nmax == 16
+        assert cfg["grid.nmax"] == 16
 
     def test_unknown_key_rejected(self, tmp_path):
         assert run_cli(tmp_path, "predict", "--set", "no.such.key=1") == 64
@@ -73,11 +74,30 @@ class TestConfig:
         # the sampler keys Philox with 64 bits: 2^64 would rerun seed 0, -1 seed 2^64 - 1
         for seed in (0, 2 ** 64 - 1):
             mapping = cli.load_config(None, [f"run.seed={seed}"])
-            assert cli.RunConfig.from_mapping(mapping).seed == seed
+            assert cli.RunConfig.from_mapping(mapping)["run.seed"] == seed
         for seed in (-1, 2 ** 64):
             assert run_cli(tmp_path, "predict", "--set", f"run.seed={seed}") == 64
             assert capsys.readouterr().err.splitlines() == [
                 f"config error: run.seed must lie in [0, 2^64), got {seed}"]
+
+    def test_law_kurtosis_selects_the_amplitude_law(self, tmp_path):
+        def g_total(kurtosis):
+            out = tmp_path / str(kurtosis)
+            assert cli.main(["predict", "--set", "law.kind=random-phase", "--set", "grid.nmax=6",
+                             "--set", f"law.kurtosis={kurtosis}", "--out", str(out)]) == 0
+            rows = (out / "predictions.csv").read_text().strip().splitlines()[1:]
+            return {int(r.split(",")[1]): r.split(",")[4] for r in rows}
+
+        unit, wide = g_total(1.0), g_total(1.5)
+        # the kurtosis term is live on every mode but 5 at nmax=6
+        assert [m for m in unit if unit[m] != wide[m]] == [1, 2, 3, 4, 6]
+
+    @pytest.mark.parametrize("law", ["random-phase", "complex-gaussian"])
+    def test_unreachable_kurtosis_exits_64(self, tmp_path, capsys, law):
+        kurtosis = 1.9 if law == "random-phase" else 1.5
+        assert run_cli(tmp_path, "predict", "--set", f"law.kind={law}",
+                       "--set", f"law.kurtosis={kurtosis}") == 64
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_regularity_gate_applies_to_dynamics(self, tmp_path):
         code = run_cli(tmp_path, "covariance", "--set", "model=kpii",
@@ -135,7 +155,8 @@ class TestResonances:
     @pytest.mark.parametrize("dim,nmax", [(1, 9), (2, 5)])
     def test_triads_arrive_in_label_order(self, dim, nmax):
         # the writer's single stable sort on |delta| relies on this order
-        labels = np.concatenate(dsp.enumerate_triads(dim, nmax), axis=1)
+        full = dsp.full_modes(dim, nmax)
+        labels = np.concatenate([full[i] for i in dsp.enumerate_triads(dim, nmax)], axis=1)
         assert np.array_equal(np.lexsort(labels.T[::-1]), np.arange(len(labels)))
 
     def test_lemma_violation_alarms_exit_2(self, tmp_path, monkeypatch):
@@ -224,7 +245,7 @@ class TestCovarianceCommand:
 
     def test_coarse_default_step_warns(self, tmp_path):
         # KdV nmax=16 at the default run.dt=2e-3: dt * max|delta| = 6.1 > 3
-        assert cli.DEFAULTS["run.dt"] == 2e-3
+        assert cli.KEYS["run.dt"][0] == 2e-3
         with pytest.warns(solver.StepAccuracyWarning, match="max \\|delta\\| = 3072"):
             code = run_cli(tmp_path, "covariance", "--set", "model=kdv",
                            "--set", "grid.nmax=16", "--set", "run.samples=4",

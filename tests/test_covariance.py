@@ -163,6 +163,32 @@ class TestMcCovariance:
         assert np.array_equal(r1.stderrs, r2.stderrs)
         assert r1.to_csv() == r2.to_csv()
 
+    def test_pool_starts_no_idle_workers(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items, chunksize=1):
+                return list(map(func, items))
+
+        monkeypatch.setattr(cov.multiprocessing, "Pool", SerialPool)
+        ens = self.make_ensemble(32)
+        serial = cov.mc_covariance(ens, dsp.BBM, 0.1, 0.2, 1e-2, batch_size=16)
+        pooled = cov.mc_covariance(ens, dsp.BBM, 0.1, 0.2, 1e-2, workers=3, batch_size=16)
+        assert cov.mc_covariance(ens, dsp.BBM, 0.1, 0.2, 1e-2, workers=2,
+                                 batch_size=8).used == 32
+        assert sizes == [2, 2]  # 2 batches for 3 workers, then 4 batches for 2
+        assert pooled.to_csv() == serial.to_csv()
+
     def test_zscores_reasonable_on_small_run(self):
         rep = cov.mc_covariance(self.make_ensemble(512), dsp.BBM, 0.05, 1.0, 5e-3,
                                 batch_size=128)

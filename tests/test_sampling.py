@@ -141,6 +141,13 @@ class TestEnsembles:
         ens = smp.EnsembleConfig(smp.complex_gaussian(), spec, 4, 0)
         assert np.all(smp.sample_initial_field(ens, 0).coeffs == 0.0)
 
+    def test_seed_outside_64_bits_raises(self):
+        # Philox takes a 64-bit key: 2^64 would alias seed 0, and -1 seed 2^64 - 1
+        assert smp.sample_coeff_batch(self.make(seed=2 ** 64 - 1), [0]).shape == (1, 6)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                smp.sample_coeff_batch(self.make(seed=seed), [0])
+
     def test_single_coefficient_draw(self):
         law = smp.complex_gaussian()
         g = smp.draw_noise(law, smp.sample_stream(8, 2), 1)[0]
@@ -166,6 +173,12 @@ class TestMomentReport:
     def test_minimum_draws_enforced(self):
         with pytest.raises(ValueError):
             smp.moment_report(smp.complex_gaussian(), 100)
+
+    def test_seed_outside_64_bits_raises(self):
+        assert smp.moment_report(smp.random_phase(), 10_000, seed=2 ** 64 - 1).passed
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                smp.moment_report(smp.random_phase(), 10_000, seed=seed)
 
     def test_json_shape(self):
         import json

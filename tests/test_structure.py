@@ -77,4 +77,4 @@ def test_readme_lists_every_config_key():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     listing = re.search(r"with dotted\s+keys — (.*?) — and any key", readme, re.S)
     assert listing is not None
-    assert re.findall(r"`([^`]+)`", listing.group(1)) == list(cli.DEFAULTS)
+    assert re.findall(r"`([^`]+)`", listing.group(1)) == list(cli.KEYS)
