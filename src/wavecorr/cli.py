@@ -197,8 +197,9 @@ def _formatted_once(values):
     starts = np.ones(values.size, dtype=bool)
     starts[1:] = values[1:] != values[:-1]
     first = np.flatnonzero(starts)
-    # run lengths, not a cumsum of `starts`, which would first copy it to int64
-    group = np.repeat(np.arange(first.size), np.diff(first, append=values.size))
+    # run lengths, not a cumsum of `starts`, which would first copy it to
+    # int64; int32 groups halve the command's largest index array
+    group = np.repeat(np.arange(first.size, dtype=np.int32), np.diff(first, append=values.size))
     return ["%.17g" % v for v in values[first].tolist()], group
 
 
