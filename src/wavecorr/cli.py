@@ -18,7 +18,6 @@ statistical report, 64 configuration error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -203,41 +202,57 @@ def _formatted_once(values):
     return ["%.17g" % v for v in values[first].tolist()], group
 
 
+def _triad_deltas(model, nmax):
+    """Every triad's signed delta and its flat full-box indices (n, k, l)."""
+    n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
+    om = dispersion.omega_full(model, nmax).ravel()
+    return om[k] + om[l] - om[n], n, k, l
+
+
+def _lemma_verdict(model, nmax, d, n, k, l):
+    """The model's no-resonance lemma over triads with signed delta `d`:
+    (violated, detail or None, KP-II bound ratio or None).
+
+    KP-II: |delta| >= 3|n1 k1 l1|.  BBM: delta equals its factored rational
+    form.  KdV: delta = -3 n1 k1 l1.  KP-I has no lemma.  The detail is None
+    where `min |delta|` alone describes the catalog.
+    """
+    if model.kind == "kpi":
+        return False, None, None
+    # the lemmas read only first components
+    first = dispersion.full_modes(model.dimension, nmax)[:, 0].astype(float)
+    n1, k1, l1 = first[n], first[k], first[l]
+    # comparisons are written so that a nan delta violates the lemma
+    if model.kind == "kpii":
+        ratio = np.abs(d) / dispersion.kpii_delta_bound(n1[:, None], k1[:, None], l1[:, None])
+        least = float(ratio.min()) if ratio.size else math.nan
+        if ratio.size and not least >= 1.0 - 1e-12:
+            return True, f"lemma bound violated: min ratio {least:.17g}", ratio
+        return False, f"min |delta|/(3|n1 k1 l1|) = {least:.17g}", ratio
+    if model.kind == "bbm":
+        ref = dispersion.bbm_delta_factored(n1, k1, l1)
+        worst = float(np.max(np.abs(d - ref) / np.abs(ref), initial=0.0))
+        what = "relative mismatch to the rational form"
+    else:
+        worst = float(np.max(np.abs(d + 3.0 * n1 * k1 * l1), initial=0.0))
+        what = "|delta + 3 n1 k1 l1|"
+    if not worst <= 1e-12:
+        return True, f"lemma violated: {what} {worst:.3e}", None
+    return False, None, None
+
+
 def cmd_resonances(cfg, out):
     model, nmax = cfg.model, cfg["grid.nmax"]
     if nmax > 32:
         raise ConfigError("resonance enumeration is budgeted for grid.nmax <= 32")
-    n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
-    om = dispersion.omega_full(model, nmax).ravel()
-    d = om[k] + om[l] - om[n]
+    d, n, k, l = _triad_deltas(model, nmax)
+    alarm, detail, ratio = _lemma_verdict(model, nmax, d, n, k, l)
     # delta is needed only as its sign bit and |delta|, which takes its memory
     negative = np.signbit(d)
     abs_d = np.abs(d, out=d)
-    full = dispersion.full_modes(model.dimension, nmax)
-    # the KP-II bound and the BBM lemma read only first components
-    first = full[:, :1].astype(float)
-
-    smallest = float(abs_d.min()) if abs_d.size else math.nan
-    detail = f"min |delta| = {smallest:.17g}"
-    ratio = None
-    if model.kind == "kpii":
-        ratio = abs_d / dispersion.kpii_delta_bound(first[n], first[k], first[l])
-        least = float(ratio.min()) if abs_d.size else math.nan
-        alarm = least < 1.0 - 1e-12
-        detail = (f"lemma bound violated: min ratio {least:.17g}" if alarm
-                  else f"min |delta|/(3|n1 k1 l1|) = {least:.17g}")
-    elif model.kind == "bbm":
-        magnitude = np.abs(dispersion.bbm_delta_factored(first[n, 0], first[k, 0], first[l, 0]))
-        alarm = abs_d.size > 0 and (
-            smallest == 0.0 or float(np.max(np.abs(abs_d - magnitude) / magnitude)) > 1e-12)
-        if alarm:
-            detail = "zero divisor or rational-formula mismatch"
-    elif model.kind == "kdv":
-        alarm = smallest < 3.0
-        if alarm:
-            detail = "zero or sub-integer divisor found"
-    else:
-        alarm = False
+    if detail is None:
+        detail = f"min |delta| = {float(abs_d.min()) if abs_d.size else math.nan:.17g}"
+    if model.kind == "kpi":
         near = int(np.sum(abs_d <= RESONANCE_THRESHOLD))
         detail += f"; {near} triads within threshold {RESONANCE_THRESHOLD:g}"
 
@@ -255,6 +270,7 @@ def cmd_resonances(cfg, out):
     if ratio is not None:  # not sorted, so grouped by np.unique
         values, ratio_group = np.unique(ratio, return_inverse=True)
         ratios = np.array(["," + "%.17g" % v for v in values.tolist()], dtype=object)
+    full = dispersion.full_modes(model.dimension, nmax)
     labels = np.array([dispersion.mode_label(m) + "," for m in full.tolist()], dtype=object)
     path = _outfile(out, "resonances.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -325,7 +341,7 @@ def cmd_covariance(cfg, out):
     print(f"covariance: {report.used}/{report.samples} samples used, "
           f"{len(report.excluded)} excluded -> {csv_path}")
     print(f"covariance: fraction of modes with |z| <= 3: {verdict.fraction_within_3:.4f}")
-    if not verdict.decay_skipped:
+    if verdict.decay_slope is not None:
         print(f"covariance: decay slope {verdict.decay_slope:.3f} "
               f"(bound {verdict.decay_bound:.3f}, ok={verdict.decay_ok})")
     print(f"covariance: max off-diagonal |estimate| {report.offdiag_max_abs:.6g} "
@@ -369,12 +385,12 @@ def cmd_sample_diagnostics(cfg, out):
     moments = sampling.moment_report(cfg.law, draws, seed=cfg["run.seed"])
     tail = sampling.tail_report(ensemble, draws, max(0.0, ensemble.spectrum.effective_s))
     path = _outfile(out, "diagnostics.json")
-    payload = {"moments": json.loads(moments.to_json()),
-               "tail": json.loads(tail.to_json())}
+    payload = {"moments": moments.record(), "tail": tail.record()}
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print(f"sample-diagnostics: draws={draws} law={cfg.law.kind} -> {path}")
-    print(f"sample-diagnostics: flagged moments: {moments.flagged or 'none'}; "
-          f"tail slope: {tail.slope}")
+    tail_text = (f"tail slope: {tail.slope}" if tail.ladder
+                 else "no tail: the datum norm is constant")
+    print(f"sample-diagnostics: flagged moments: {moments.flagged or 'none'}; {tail_text}")
     return EXIT_OK
 
 
@@ -383,27 +399,17 @@ def cmd_sample_diagnostics(cfg, out):
 # ---------------------------------------------------------------------------
 
 def _check_delta_oracles():
-    def triads(model, nmax):
-        """Every triad as (T, dim) mode arrays n, k, l, and its delta from omega_full."""
-        n, k, l = dispersion.enumerate_triads(model.dimension, nmax)
-        om = dispersion.omega_full(model, nmax).ravel()
-        full = dispersion.full_modes(model.dimension, nmax)
-        return full[n], full[k], full[l], om[k] + om[l] - om[n]
-
-    n, k, l, d = triads(dispersion.BBM, 12)
-    ref = dispersion.bbm_delta_factored(n[:, 0], k[:, 0], l[:, 0])
-    worst = float(np.max(np.abs(d - ref) / np.abs(ref)))
-    n, k, l, d = triads(dispersion.KDV, 12)
-    worst = max(worst, float(np.max(np.abs(d + 3.0 * n[:, 0] * k[:, 0] * l[:, 0]))))
+    for model, nmax in ((dispersion.BBM, 12), (dispersion.KDV, 12), (dispersion.KPII, 5)):
+        alarm, detail, _ = _lemma_verdict(model, nmax, *_triad_deltas(model, nmax))
+        if alarm:
+            return False, f"{model.kind}: {detail}"
+    worst = 0.0
+    full = dispersion.full_modes(2, 5)
     for model in (dispersion.KPI, dispersion.KPII):
-        n, k, l, d = triads(model, 5)
-        ref = dispersion.kp_delta_factored(model, n, k, l)
+        d, n, k, l = _triad_deltas(model, 5)
+        ref = dispersion.kp_delta_factored(model, full[n], full[k], full[l])
         worst = max(worst, float(np.max(np.abs(d - ref) / np.abs(ref))))
-        if model.kind == "kpii":
-            ratio = np.abs(d) / dispersion.kpii_delta_bound(n, k, l)
-            if float(ratio.min()) < 1.0 - 1e-12:
-                return False, f"KP-II bound ratio {ratio.min():.3e}"
-    return worst <= 1e-12, f"max relative mismatch {worst:.3e}"
+    return worst <= 1e-12, f"BBM, KdV, KP-II lemmas hold; KP factored forms to {worst:.3e}"
 
 
 def _check_kernels():
@@ -445,24 +451,15 @@ def _check_semigroup():
 
 def _check_dealias():
     rng = np.random.default_rng(11)
+    worst = 0.0
     for dim, nm in ((1, 5), (2, 3)):
         f = fld.random_field(dim, nm, rng)
-        sq = solver.dealiased_square(f)
-        a = fld.full_array(f)
-        worst = 0.0
-        for mode in dispersion.mode_list(dim, nm):
-            tup = (mode,) if dim == 1 else mode
-            total = 0.0 + 0.0j
-            for kc in itertools.product(range(-nm, nm + 1), repeat=dim):
-                lc = tuple(x - y for x, y in zip(tup, kc))
-                if kc[0] == 0 or lc[0] == 0 or any(abs(x) > nm for x in lc):
-                    continue
-                total += a[tuple(c + nm for c in kc)] * a[tuple(c + nm for c in lc)]
-            got = fld.coefficient(sq, mode)
-            worst = max(worst, abs(got - total))
-        if worst > 1e-13:
-            return False, f"dim {dim}: convolution defect {worst:.3e}"
-    return True, "exact vs brute-force convolution"
+        a = fld.full_array(f).ravel()
+        exact = dispersion.triad_sums(dim, nm, lambda n, k, l: a[k] * a[l],
+                                      dispersion.stored_modes(dim, nm))
+        got = solver.dealiased_square(f).coeffs.ravel()
+        worst = max(worst, float(np.max(np.abs(got - exact))))
+    return worst <= 1e-13, f"max defect vs the exact triad sums {worst:.3e}"
 
 
 def _check_picard():

@@ -430,7 +430,6 @@ class ComparisonVerdict:
     decay_slope: Optional[float] = None
     decay_bound: Optional[float] = None
     decay_ok: Optional[bool] = None
-    decay_skipped: bool = True
 
 
 _MIN_SHELLS = 4  # shells (l1 sizes with a nonzero value) a decay fit needs
@@ -458,13 +457,11 @@ def compare_prediction(report):
     profile's summability supremum (the supremum itself is not attained).
     """
     within = np.abs(report.zscores) <= 3.0  # false for nan
-    verdict = ComparisonVerdict(
-        fraction_within_3=float(np.mean(within)) if len(report.zscores) else 1.0)
+    verdict = ComparisonVerdict(fraction_within_3=float(np.mean(within)))
     spectrum = report.ensemble.spectrum
     slope, _ = fit_decay_slope(dispersion.mode_l1(spectrum.dimension, spectrum.nmax),
                                report.g_pred)
     if slope is not None:
-        verdict.decay_skipped = False
         verdict.decay_slope = slope
         verdict.decay_bound = _decay_exponent(report.model, spectrum.effective_s - 0.5) + 0.5
         verdict.decay_ok = slope <= verdict.decay_bound

@@ -14,7 +14,6 @@ consumed in lexicographic order within a stream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -271,12 +270,12 @@ class MomentReport:
     stderrs: dict
     flagged: list
 
-    def to_json(self):
+    def record(self):
+        """The report as a JSON-ready dict."""
         table = {k: {"value": [self.values[k].real, self.values[k].imag],
                      "stderr": self.stderrs[k]} for k in self.values}
-        return json.dumps({"law": self.law_kind, "draws": self.draws,
-                           "kurtosis": self.kurtosis, "moments": table,
-                           "flagged": self.flagged}, indent=2)
+        return {"law": self.law_kind, "draws": self.draws, "kurtosis": self.kurtosis,
+                "moments": table, "flagged": self.flagged}
 
     @property
     def passed(self):
@@ -323,13 +322,14 @@ class TailReport:
     slope: Optional[float]
     omitted: int
 
-    def to_json(self):
-        return json.dumps({
+    def record(self):
+        """The report as a JSON-ready dict."""
+        return {
             "law": self.law_kind, "draws": self.draws, "s": self.s,
             "rms_analytic": self.rms_analytic, "median": self.median,
             "ladder": [{"R": r, "frequency": f, "count": c, "used": u}
                        for (r, f, c, u) in self.ladder],
-            "slope": self.slope, "omitted_rungs": self.omitted}, indent=2)
+            "slope": self.slope, "omitted_rungs": self.omitted}
 
 
 _TAIL_QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.98, 0.99, 0.995, 0.998, 0.999)
@@ -341,7 +341,9 @@ def tail_report(config, draws, s):
     """Exceedance ladder of the H^s datum norm and the log P vs R^2 slope.
 
     The Gaussian-type tail makes the fitted slope strictly negative; rungs
-    with fewer than 10 exceedances are omitted from the fit and counted.
+    with fewer than 10 exceedances are omitted from the fit and counted.  A
+    norm constant to rounding (unit-modulus noise, or a zero spectrum) has
+    no tail: the ladder is empty and the slope None.
     """
     if draws < 10_000:
         raise ValueError("tail diagnostics need at least 1e4 draws")
@@ -364,11 +366,11 @@ def tail_report(config, draws, s):
     median = float(np.median(norms))
     ladder, fit_r, fit_p = [], [], []
     omitted = 0
-    for q in _TAIL_QUANTILES:
+    largest = float(norms.max())
+    quantiles = _TAIL_QUANTILES if largest - float(norms.min()) > 1e-12 * largest else ()
+    for q in quantiles:
         r = float(np.quantile(norms, q))
-        if r <= 0.0:
-            r = float(q)  # degenerate (zero-spectrum) ladder still reports zeros
-        exceed = int(np.sum(norms >= r)) if np.any(norms > 0) else 0
+        exceed = int(np.sum(norms >= r))
         freq = exceed / draws
         used = exceed >= _MIN_EXCEEDANCES and freq < 1.0
         ladder.append((r, freq, exceed, used))
@@ -377,11 +379,5 @@ def tail_report(config, draws, s):
             fit_p.append(math.log(freq))
         else:
             omitted += 1
-    slope = None
-    if len(fit_r) >= 2:
-        r2 = np.array(fit_r)
-        # a degenerate ladder (e.g. unit-modulus noise has a deterministic
-        # norm) carries no tail information to fit
-        if r2.max() - r2.min() > 1e-9 * max(r2.max(), 1.0):
-            slope = float(np.polyfit(r2, np.array(fit_p), 1)[0])
+    slope = float(np.polyfit(fit_r, fit_p, 1)[0]) if len(fit_r) >= 2 else None
     return TailReport(config.law.kind, draws, s, rms, median, ladder, slope, omitted)

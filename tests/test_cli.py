@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, determinism, self-test."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 import warnings
@@ -166,6 +167,17 @@ class TestResonances:
         assert run_cli(tmp_path, "resonances", "--set", "model=kpii",
                        "--set", "grid.nmax=4") == 2
 
+    @pytest.mark.parametrize("model,omega", [
+        ("bbm", lambda n1: n1 / (1.0 + n1 * n1)),  # sign flipped: |delta| is unchanged
+        ("kdv", lambda n1: 2.0 * n1 * n1 * n1),    # delta = -6 n1 k1 l1: |delta| >= 12
+    ], ids=["bbm-sign-flipped", "kdv-doubled"])
+    def test_signed_lemma_violation_alarms_exit_2(self, tmp_path, monkeypatch, model, omega):
+        # both relations keep every |delta| away from zero; only a check of the
+        # signed delta against the lemma's closed form sees them
+        monkeypatch.setitem(dsp._OMEGA, model, omega)
+        assert run_cli(tmp_path, "resonances", "--set", f"model={model}",
+                       "--set", "grid.nmax=12") == 2
+
 
 class TestPredict:
     def test_gibbs_gaussian_gives_zero_column(self, tmp_path):
@@ -209,11 +221,23 @@ class TestCovarianceCommand:
         lines = (tmp_path / "covariance.csv").read_text().strip().splitlines()
         assert all(float(r.split(",")[3]) == 0.0 for r in lines[1:])
 
-    def test_worker_count_gives_identical_bytes(self, tmp_path):
+    def test_worker_count_gives_identical_bytes(self, tmp_path, monkeypatch):
+        pools = []
+        real_pool = multiprocessing.Pool
+
+        def recording_pool(*args, **kwargs):
+            pools.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert cli.main([*self.args, "--set", "run.workers=1", "--out", str(a)]) == 0
-        assert cli.main([*self.args, "--set", "run.workers=8", "--out", str(b)]) == 0
+        # 64 samples in batches of 16: the two-worker run takes the pool path
+        args = (*self.args, "--set", "run.batch=16")
+        assert cli.main([*args, "--set", "run.workers=1", "--out", str(a)]) == 0
+        assert not pools
+        assert cli.main([*args, "--set", "run.workers=2", "--out", str(b)]) == 0
+        assert pools == [(2,)]
         assert (a / "covariance.csv").read_bytes() == (b / "covariance.csv").read_bytes()
         assert (a / "covariance.json").read_bytes() == (b / "covariance.json").read_bytes()
 
@@ -317,12 +341,15 @@ class TestOtherCommands:
         assert payload["moments"]["flagged"] == []
         assert payload["tail"]["slope"] < 0.0
 
-    def test_random_phase_exact_fourth_moment(self, tmp_path):
+    def test_random_phase_exact_fourth_moment(self, tmp_path, capsys):
         code = run_cli(tmp_path, "sample-diagnostics", "--set", "law.kind=random-phase",
                        "--set", "diagnostics.draws=20000", "--set", "grid.nmax=6")
         assert code == 0
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert payload["moments"]["moments"]["abs4"]["value"] == [1.0, 0.0]
+        # |g| = 1 fixes the datum norm, so there is no tail to report
+        assert payload["tail"]["ladder"] == [] and payload["tail"]["slope"] is None
+        assert "no tail: the datum norm is constant" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -335,6 +362,16 @@ class TestVerify:
         results = {name: (ok, detail) for name, ok, detail in cli.verify_all()}
         assert not results["delta-oracles"][0]
         assert run_cli(tmp_path, "verify") == 1
+
+    def test_short_padding_fails_the_convolution_check(self, monkeypatch):
+        # 3*nmax points let a product of two retained modes wrap onto one
+        monkeypatch.setattr(solver, "padded_length", lambda nmax: 3 * nmax)
+        solver._transform.cache_clear()
+        try:
+            results = {name: ok for name, ok, _ in cli.verify_all()}
+        finally:
+            solver._transform.cache_clear()
+        assert not results["dealias-convolution"]
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

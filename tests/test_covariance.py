@@ -341,7 +341,7 @@ class TestComparePrediction:
                                  smp.build_spectrum("sobolev", 3.0, 16, 1), 16, 3)
         rep = cov.mc_covariance(ens, dsp.BBM, 0.05, 1.0, 5e-3)
         verdict = cov.compare_prediction(rep)  # declared s = 2.5 - 0.5
-        assert not verdict.decay_skipped
+        assert verdict.decay_slope is not None
         assert verdict.decay_bound == -5.5
         assert verdict.decay_ok
 
@@ -351,4 +351,4 @@ class TestComparePrediction:
         rep = cov.mc_covariance(ens, dsp.BBM, 0.0, 1.0, 1e-2)
         rep.g_pred = np.zeros_like(rep.g_pred)  # no positive magnitudes at all
         verdict = cov.compare_prediction(rep)
-        assert verdict.decay_skipped
+        assert verdict.decay_slope is None

@@ -183,7 +183,7 @@ class TestMomentReport:
     def test_json_shape(self):
         import json
         rep = smp.moment_report(smp.random_phase(), 10_000, seed=1)
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.record()))
         assert data["law"] == "random-phase"
         assert set(data["moments"]) == {"g", "g2", "g3", "g4", "abs2", "abs4", "abs2_g"}
 
@@ -203,7 +203,15 @@ class TestTailReport:
         spec = smp.custom_spectrum(np.zeros(4), 4, 1)
         ens = smp.EnsembleConfig(smp.complex_gaussian(), spec, 2, 0)
         rep = smp.tail_report(ens, 20_000, s=1.0)
-        assert all(row[1] == 0.0 for row in rep.ladder)
+        assert rep.ladder == [] and rep.omitted == 0
+        assert rep.slope is None
+
+    def test_constant_norm_has_no_tail(self):
+        # unit-modulus noise gives every datum the same H^s norm up to rounding
+        spec = smp.build_spectrum("sobolev", 2.0, 8, 1)
+        rep = smp.tail_report(smp.EnsembleConfig(smp.random_phase(), spec, 2, 17), 20_000, s=1.0)
+        assert rep.median == pytest.approx(rep.rms_analytic, rel=1e-12)
+        assert rep.ladder == [] and rep.omitted == 0
         assert rep.slope is None
 
     def test_rung_accounting(self):
