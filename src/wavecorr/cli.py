@@ -219,7 +219,6 @@ def _lemma_verdict(model, nmax, d, n, k, l):
     """
     if model.kind == "kpi":
         return False, None, None
-    # the lemmas read only first components
     first = dispersion.full_modes(model.dimension, nmax)[:, 0].astype(float)
     n1, k1, l1 = first[n], first[k], first[l]
     # comparisons are written so that a nan delta violates the lemma
@@ -236,9 +235,8 @@ def _lemma_verdict(model, nmax, d, n, k, l):
     else:
         worst = float(np.max(np.abs(d + 3.0 * n1 * k1 * l1), initial=0.0))
         what = "|delta + 3 n1 k1 l1|"
-    if not worst <= 1e-12:
-        return True, f"lemma violated: {what} {worst:.3e}", None
-    return False, None, None
+    violated = not worst <= 1e-12
+    return violated, f"lemma violated: {what} {worst:.3e}" if violated else None, None
 
 
 def cmd_resonances(cfg, out):
@@ -263,6 +261,8 @@ def cmd_resonances(cfg, out):
     # gives that order.
     order = np.argsort(abs_d, kind="stable")
     text, group = _formatted_once(abs_d[order])
+    # freed before the write loop, whose many small objects can then reuse it
+    del d, abs_d
     # the signed cell is the |delta| text behind a "-" wherever the sign bit
     # is set, which keeps "-0" for -0.0
     signed = np.array([t + "," for t in text] + ["-" + t + "," for t in text], dtype=object)
@@ -284,7 +284,7 @@ def cmd_resonances(cfg, out):
             if ratio is not None:
                 cells += ratios[ratio_group[rows]]
             fh.write("".join((cells + "\n").tolist()))
-    print(f"resonances: {model.kind} nmax={nmax}: {abs_d.size} triads -> {path}")
+    print(f"resonances: {model.kind} nmax={nmax}: {order.size} triads -> {path}")
     print(f"resonances: {detail}")
     if alarm:
         print("resonances: NO-RESONANCE ASSERTION VIOLATED", file=sys.stderr)
