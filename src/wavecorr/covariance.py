@@ -16,7 +16,10 @@ The Monte Carlo side estimates (E|u_n(eps;t)|^2 - |lambda_n|^2)/eps^2 with
 common-random-number coupling against the exact free evolution: since the
 semigroup preserves moduli, the per-sample coupled statistic is simply
 |v_n(t)|^2 - |v_n(0)|^2, whose variance is O(eps^2) instead of O(1).  The
-estimator is exactly zero at eps = 0 and t = 0.
+estimator is exactly zero at eps = 0 and t = 0.  Only the diagonal is
+estimated: the datum law is translation invariant and the flow commutes
+with translations, so E(conj(u_m) u_n) and E(u_m u_n) vanish exactly for
+distinct stored modes m, n at every eps and t.
 """
 
 from __future__ import annotations
@@ -247,32 +250,13 @@ def _merge_moments(acc, update):
     return count, mean, s
 
 
-_OFFDIAG_MODES = 64  # stored modes probed for off-diagonal correlation
-
-
-def _offdiag_pairs(dim, nmax):
-    """Flat stored-mode pairs (m, n, conj_count) probed for off-diagonal correlation.
-
-    The first `conj_count` pairs are conjugated products over m < n, the rest
-    unconjugated over m <= n (they probe E(u_m u_n), i.e. pairs across the
-    two half-lattices), each in row-major (m, n) order.  Modes are taken in
-    increasing l1 size, up to _OFFDIAG_MODES of them.
-    """
-    size = dispersion.mode_l1(dim, nmax).reshape(-1)
-    order = np.sort(np.argsort(size, kind="stable")[:_OFFDIAG_MODES])
-    herm = np.triu_indices(order.size, k=1)
-    plain = np.triu_indices(order.size, k=0)
-    return (order[np.concatenate([herm[0], plain[0]])],
-            order[np.concatenate([herm[1], plain[1]])], herm[0].size)
-
-
-def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, pairs, start):
+def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, start):
     """One batch of coupled solves, from sample `start`; mergeable partial statistics.
 
-    Returns (moments of the diagonal, conjugated and unconjugated products,
-    excluded (index, blow-up time) pairs, (category, text) of each warning
-    raised).  Warnings are recorded rather than shown, so that the caller
-    sees them whether the batch ran in its process or in a pool worker.
+    Returns (moments of the per-mode coupled statistic, excluded (index,
+    blow-up time) pairs, (category, text) of each warning raised).
+    Warnings are recorded rather than shown, so that the caller sees them
+    whether the batch ran in its process or in a pool worker.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -281,11 +265,7 @@ def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, pairs, start)
     excluded = [(start + int(i), float(blow[i])) for i in np.flatnonzero(~alive)]
     a = a[alive].reshape(-1, ensemble.spectrum.table.size)
     v = final[alive].reshape(a.shape)
-    m, n, conj = pairs
-    diag = np.abs(v) ** 2 - np.abs(a) ** 2
-    herm = np.conj(v[:, m[:conj]]) * v[:, n[:conj]] - np.conj(a[:, m[:conj]]) * a[:, n[:conj]]
-    plain = v[:, m[conj:]] * v[:, n[conj:]] - a[:, m[conj:]] * a[:, n[conj:]]
-    return ([_batch_moments(x) for x in (diag, herm, plain)], excluded,
+    return (_batch_moments(np.abs(v) ** 2 - np.abs(a) ** 2), excluded,
             [(w.category, str(w.message)) for w in caught])
 
 
@@ -305,10 +285,6 @@ class CovarianceReport:
     stderrs: np.ndarray
     g_pred: np.ndarray
     zscores: np.ndarray
-    offdiag_pairs: int
-    offdiag_max_abs: float
-    offdiag_max_stderr: float
-    offdiag_argmax: tuple
     truncation_flags: list = dataclass_field(default_factory=list)
 
     @property
@@ -343,18 +319,13 @@ class CovarianceReport:
             "excluded": [{"index": i, "time": bt} for i, bt in self.excluded],
             "invalid": self.invalid,
             "truncation_flagged_modes": [label(m) for m in self.truncation_flags],
-            "offdiagonal": {"pairs": self.offdiag_pairs,
-                            "max_abs": self.offdiag_max_abs,
-                            "max_abs_stderr": self.offdiag_max_stderr,
-                            "argmax": list(map(label, self.offdiag_argmax[:2]))
-                                      + [self.offdiag_argmax[2]]},
             "records": [{"mode": label(mode), **dict(zip(keys, values))}
                         for mode, *values in self._records()],
         }, indent=2, default=float)
 
 
 def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128):
-    """Coupled-ensemble estimate of the covariance correction at time t.
+    """Coupled-ensemble estimate of each stored mode's covariance correction at time t.
 
     Deterministic given (ensemble, batch_size): batches are fixed slices of
     the sample index range and their statistics merge in index order, so the
@@ -372,9 +343,7 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
             "the second-order prediction degrades",
             TheoryWindowWarning, stacklevel=2)
 
-    pairs = _offdiag_pairs(spectrum.dimension, spectrum.nmax)
-    batch = functools.partial(_covariance_batch, ensemble, model, epsilon, t, dt,
-                              batch_size, pairs)
+    batch = functools.partial(_covariance_batch, ensemble, model, epsilon, t, dt, batch_size)
     starts = range(0, ensemble.samples, batch_size)
     if workers > 1 and len(starts) > 1:
         with multiprocessing.Pool(min(workers, len(starts))) as pool:
@@ -382,20 +351,20 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
     else:
         results = list(map(batch, starts))
 
-    accs = [(0, 0.0, 0.0)] * 3
+    acc = (0, 0.0, 0.0)
     excluded = []
     for moments, dead, _ in results:
-        accs = [_merge_moments(acc, update) for acc, update in zip(accs, moments)]
+        acc = _merge_moments(acc, moments)
         excluded += dead
     for category, text in dict.fromkeys(w for _, _, raised in results for w in raised):
         warnings.warn(text, category, stacklevel=2)
 
-    (used, mean_d, m2_d), herm_acc, plain_acc = accs
+    used, mean, m2 = acc
     if used < 2:
         raise TooFewSamplesError("fewer than two usable samples; cannot form errors")
     scale = 1.0 / epsilon ** 2 if epsilon > 0 else 1.0
-    estimates = mean_d * scale
-    stderrs = np.sqrt(m2_d / (used - 1)) / math.sqrt(used) * scale
+    estimates = mean * scale
+    stderrs = np.sqrt(m2 / (used - 1)) / math.sqrt(used) * scale
 
     g_values, flagged = g_table(spectrum, ensemble.law.kurtosis, model, t)
     g_flat = g_values.reshape(-1)
@@ -404,19 +373,10 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
         z = (estimates - g_flat) / stderrs
     z[zero_err & (estimates == g_flat)] = 0.0
     z[zero_err & (estimates != g_flat)] = np.inf
-
-    m, n, conj = pairs
-    off_abs = np.abs(np.concatenate([herm_acc[1], plain_acc[1]]))
-    off_sd = np.sqrt(np.concatenate([herm_acc[2], plain_acc[2]]) / (used - 1))
-    arg = int(np.argmax(off_abs))
-    labels = dispersion.mode_list(spectrum.dimension, spectrum.nmax)
     return CovarianceReport(
         ensemble=ensemble, model=model, epsilon=epsilon, t=t, dt=dt, used=used,
         excluded=excluded, invalid=len(excluded) > 0.01 * ensemble.samples,
         estimates=estimates, stderrs=stderrs, g_pred=g_flat, zscores=z,
-        offdiag_pairs=int(m.size), offdiag_max_abs=float(off_abs[arg]),
-        offdiag_max_stderr=float(off_sd[arg] / math.sqrt(used)),
-        offdiag_argmax=(labels[m[arg]], labels[n[arg]], ("plain", "conjugated")[arg < conj]),
         truncation_flags=flagged)
 
 

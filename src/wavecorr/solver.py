@@ -123,7 +123,11 @@ def _rk4_step(rhs, eps, t, h, v):
 
 def step_count(span, dt):
     """RK4 steps of at most dt (to rounding) that `evolve_array` takes across `span`."""
-    return max(1, int(np.ceil(span / dt - 1e-9))) if span > 0 else 0
+    if not span > 0:
+        return 0
+    if not np.isfinite(span / dt):
+        raise ValueError(f"a span of {span:g} in steps of dt={dt:g} has no finite step count")
+    return max(1, int(np.ceil(span / dt - 1e-9)))
 
 
 def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=0.0):
@@ -135,9 +139,9 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     steps, `alive` a boolean batch mask, `blow_time` the time at which each
     dead trajectory lost finiteness (nan when alive).  Raises ValueError for
     a non-finite time, a final time before the start, a step that is not a
-    positive finite number, or coefficients whose trailing shape is not the
-    model's stored lattice; warns when dt under-resolves the fastest
-    nonlinear phase.
+    positive finite number or too small to count across the span, or
+    coefficients whose trailing shape is not the model's stored lattice;
+    warns when dt under-resolves the fastest nonlinear phase.
     """
     if not (np.isfinite(t_start) and np.isfinite(t_final)):
         raise ValueError(f"times must be finite, got t_start={t_start}, t_final={t_final}")

@@ -100,6 +100,15 @@ class TestConfig:
                        "--set", f"law.kurtosis={kurtosis}") == 64
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["covariance", "picard-scan"])
+    @pytest.mark.parametrize("item", ["run.dt=5e-324", "run.t=1e308"])
+    def test_step_count_overflow_exits_64(self, tmp_path, capsys, command, item):
+        # run.t / run.dt overflows to inf: no step count exists
+        assert run_cli(tmp_path, command, "--set", item) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: run.t and run.dt:")
+        assert line.endswith("has no finite step count")
+
     def test_regularity_gate_applies_to_dynamics(self, tmp_path):
         code = run_cli(tmp_path, "covariance", "--set", "model=kpii",
                        "--set", "spectrum.alpha=2.0", "--set", "run.samples=4")
@@ -247,7 +256,9 @@ class TestCovarianceCommand:
         assert payload["model"] == "bbm"
         assert payload["samples"] == 64
         assert payload["invalid"] is False
-        assert "offdiagonal" in payload
+        assert set(payload) == {
+            "model", "epsilon", "t", "dt", "seed", "law", "kurtosis", "spectrum", "samples",
+            "used", "excluded", "invalid", "truncation_flagged_modes", "records"}
 
     def test_budget_guard(self, tmp_path):
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=1000") == 64

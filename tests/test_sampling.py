@@ -121,11 +121,22 @@ class TestEnsembles:
         assert np.all(np.abs(emp - lam2) <= 4.0 * stderr)
 
     def test_mode_independence(self):
-        ens = self.make(samples=4096, nmax=6, seed=555)
-        coeffs = smp.sample_coeff_batch(ens, range(4096))
-        g = coeffs / ens.spectrum.table
-        corr = np.mean(g[:, 0] * np.conj(g[:, 3]), axis=0)
-        assert abs(corr) < 4.0 / np.sqrt(4096)
+        # every pair m < n of distinct stored modes, within 5 empirical standard
+        # errors: E(conj(g_m) g_n) = E(g_m g_n) = 0, and for the Gaussian
+        # E(|g_m|^2 |g_n|^2) = 1 (random-phase draws have |g| = 1 exactly)
+        draws = 4096
+        for law in (smp.complex_gaussian(), smp.random_phase()):
+            for dim, nmax in ((1, 6), (2, 3)):
+                spec = smp.build_spectrum("sobolev", 3.0, nmax, dim)
+                ens = smp.EnsembleConfig(law, spec, draws, 555)
+                g = (smp.sample_coeff_batch(ens, range(draws)) / spec.table).reshape(draws, -1)
+                m, n = np.triu_indices(g.shape[1], k=1)
+                products = [np.conj(g[:, m]) * g[:, n], g[:, m] * g[:, n]]
+                if law.kind == "complex-gaussian":
+                    products.append(np.abs(g[:, m]) ** 2 * np.abs(g[:, n]) ** 2 - 1.0)
+                for x in products:
+                    z = np.abs(x.mean(axis=0)) / (x.std(axis=0, ddof=1) / np.sqrt(draws))
+                    assert np.max(z) <= 5.0, (law.kind, dim, float(np.max(z)))
 
     def test_gibbs_energy_mean_counts_modes(self):
         spec = smp.build_spectrum("bbm-gibbs", None, 12, 1)

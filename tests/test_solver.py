@@ -198,6 +198,11 @@ class TestEvolve:
         slv.evolve_array(dsp.BBM, 0.1, u0.coeffs, 0.3, 0.0)
         assert len(taken) == 7 and slv.step_count(0.0, 0.3) == 0
 
+    def test_step_count_overflow_raises(self):
+        for span, dt in ((1.0, 5e-324), (1e308, 2e-3)):
+            with pytest.raises(ValueError, match="no finite step count"):
+                slv.step_count(span, dt)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="stored lattice"):
             slv.evolve_array(dsp.KPI, 0.1, fld.zero_field(1, 4).coeffs, 0.1, 1.0)
