@@ -176,12 +176,17 @@ class RunConfig:
         return sampling.EnsembleConfig(self.law, self.spectrum(gated), self["run.samples"],
                                        self["run.seed"])
 
-    def steps(self, span):
-        """`solver.step_count` across `span` at run.dt; ConfigError when it overflows."""
+    def check_work(self, samples):
+        """ConfigError when `samples` solves to the last time would cost more than
+        run.budget, counted as samples x steps x 4 stages x padded grid points."""
         try:
-            return solver.step_count(span, self["run.dt"])
+            steps = solver.step_count(max(self.times), self["run.dt"])
         except ValueError as exc:
             raise ConfigError(f"run.t and run.dt: {exc}")
+        work = samples * steps * 4 * solver.padded_length(self["grid.nmax"]) ** self.model.dimension
+        if work > self["run.budget"]:
+            raise ConfigError(f"estimated work {work:.3g} exceeds run.budget "
+                              f"{self['run.budget']:.3g} (samples x steps x stages x grid points)")
 
 
 def _outfile(out, name):
@@ -326,16 +331,10 @@ def cmd_covariance(cfg, out):
     if len(cfg.times) != 1:
         raise ConfigError(f"covariance takes one time in run.t, got {len(cfg.times)}")
     ensemble = cfg.ensemble(gated=True)
-    t, dt, budget = cfg.times[0], cfg["run.dt"], cfg["run.budget"]
-    grid = solver.padded_length(cfg["grid.nmax"])
-    work = cfg["run.samples"] * cfg.steps(t) * 4 * grid ** cfg.model.dimension
-    if work > budget:
-        raise ConfigError(
-            f"estimated work {work:.3g} exceeds run.budget {budget:.3g} "
-            "(samples x steps x stages x grid points)")
+    cfg.check_work(cfg["run.samples"])
     try:
         report = cov.mc_covariance(
-            ensemble, cfg.model, cfg["run.epsilon"], t, dt,
+            ensemble, cfg.model, cfg["run.epsilon"], cfg.times[0], cfg["run.dt"],
             workers=cfg["run.workers"], batch_size=cfg["run.batch"])
     except cov.TooFewSamplesError as exc:
         print(f"covariance: REPORT INVALID ({exc})", file=sys.stderr)
@@ -364,7 +363,7 @@ def cmd_covariance(cfg, out):
 def cmd_picard_scan(cfg, out):
     if cfg["run.epsilon"] <= 0:
         raise ConfigError("picard-scan needs run.epsilon > 0")
-    cfg.steps(max(cfg.times))  # a run.dt too small to count steps across run.t is a config error
+    cfg.check_work(1)
     ensemble = cfg.ensemble(gated=True)
     u0 = sampling.sample_initial_field(ensemble, 0)
     scan = picard.remainder_growth_scan(

@@ -9,7 +9,9 @@ companions show up in the covariance bookkeeping:
 
 All three switch to a 4-term Taylor series when |delta * t| < 1e-6, which
 keeps them total and continuous across the degenerate direction and avoids
-the cancellation in (exp(i delta t) - 1) and (1 - cos(delta t)).
+the cancellation in (exp(i delta t) - 1) and (1 - cos(delta t)).  The
+closed form is evaluated on every entry and the series on the degenerate
+entries only, where it overwrites the closed form's value.
 """
 
 from __future__ import annotations
@@ -22,19 +24,19 @@ __all__ = ["f_kernel", "sinc_kernel", "tilde_f_kernel", "DEGENERATE_PHASE"]
 DEGENERATE_PHASE = 1e-6
 
 
-def _prepare(delta, t):
+def _branches(delta, t, exact, series):
+    """exact(x, delta) everywhere, x = delta*t, then series(x, t) written over
+    the degenerate entries |x| < DEGENERATE_PHASE; scalar in gives scalar out."""
     delta = np.asarray(delta, dtype=float)
     t = np.asarray(t, dtype=float)
     x = delta * t
     small = np.abs(x) < DEGENERATE_PHASE
-    safe = np.where(small, 1.0, delta)
-    return delta, t, x, small, safe
-
-
-def _scalarize(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return out[()]
-    return out
+    # delta = 0 divides 0 by 0 on entries that the series then overwrites
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(exact(x, delta))
+    if small.any():
+        out[small] = series(x[small], np.broadcast_to(t, x.shape)[small])
+    return out[()] if delta.ndim == t.ndim == 0 else out
 
 
 def f_kernel(delta, t):
@@ -43,23 +45,24 @@ def f_kernel(delta, t):
     The nondegenerate branch is evaluated as 2 sin(x/2) e^(ix/2)/delta with
     x = delta*t, which is free of the cancellation in exp(ix) - 1.
     """
-    _, t, x, small, safe = _prepare(delta, t)
-    half = 0.5 * x
-    exact = 2.0 * np.sin(half) * np.exp(1j * half) / safe
-    z = 1j * x
-    series = t * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    out = np.where(small, series, exact)
-    return _scalarize(out, delta, t)
+    def exact(x, d):
+        half = 0.5 * x
+        return 2.0 * np.sin(half) * np.exp(1j * half) / d
+
+    def series(x, t):
+        z = 1j * x
+        return t * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+    return _branches(delta, t, exact, series)
 
 
 def sinc_kernel(delta, t):
     """sin(delta t)/delta, exactly t on the degenerate branch."""
-    _, t, x, small, safe = _prepare(delta, t)
-    exact = np.sin(x) / safe
-    x2 = x * x
-    series = t * (1.0 - x2 * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 / 5040.0)))
-    out = np.where(small, series, exact)
-    return _scalarize(out, delta, t)
+    def series(x, t):
+        x2 = x * x
+        return t * (1.0 - x2 * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 / 5040.0)))
+
+    return _branches(delta, t, lambda x, d: np.sin(x) / d, series)
 
 
 def tilde_f_kernel(delta, t):
@@ -68,10 +71,12 @@ def tilde_f_kernel(delta, t):
     Evaluated as 2 sin^2(x/2)/delta^2 away from the threshold, which avoids
     the cancellation in 1 - cos for small phases.
     """
-    _, t, x, small, safe = _prepare(delta, t)
-    half_sin = np.sin(0.5 * x)
-    exact = 2.0 * half_sin * half_sin / (safe * safe)
-    x2 = x * x
-    series = t * t * (0.5 - x2 * (1.0 / 24.0 - x2 * (1.0 / 720.0 - x2 / 40320.0)))
-    out = np.where(small, series, exact)
-    return _scalarize(out, delta, t)
+    def exact(x, d):
+        half_sin = np.sin(0.5 * x)
+        return 2.0 * half_sin * half_sin / (d * d)
+
+    def series(x, t):
+        x2 = x * x
+        return t * t * (0.5 - x2 * (1.0 / 24.0 - x2 * (1.0 / 720.0 - x2 / 40320.0)))
+
+    return _branches(delta, t, exact, series)

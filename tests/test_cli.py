@@ -344,6 +344,18 @@ class TestOtherCommands:
         assert lines[0] == "t,norm,model,epsilon,nmax"
         assert len(lines) == 3
 
+    def test_picard_scan_budget(self, tmp_path, capsys):
+        # one solve to t=1 in 200 steps x 4 stages x 20 points = 16000
+        args = ("picard-scan", "--set", "run.t=[0.5,1.0]", "--set", "grid.nmax=6",
+                "--set", "run.dt=0.005")
+        assert run_cli(tmp_path, *args, "--set", "run.budget=16000") == 0
+        assert run_cli(tmp_path / "over", *args, "--set", "run.budget=15999") == 64
+        # BBM nmax=16 to t=1e6 at the default run.dt: 5e8 steps x 4 x 50 = 1e11
+        assert run_cli(tmp_path / "long", "picard-scan", "--set", "run.t=1e6") == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[-1].startswith("config error: estimated work 1e+11 exceeds")
+        assert not (tmp_path / "over").exists() and not (tmp_path / "long").exists()
+
     def test_sample_diagnostics_json(self, tmp_path):
         code = run_cli(tmp_path, "sample-diagnostics",
                        "--set", "diagnostics.draws=20000", "--set", "grid.nmax=6")

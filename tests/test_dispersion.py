@@ -155,6 +155,38 @@ class TestLattice:
         assert np.all(ph[4, :] == 0.0)
         assert om[4 + 2, 4 + 1] == dsp.omega(dsp.KPII, (2, 1))
 
+    @pytest.mark.parametrize("block", [None, 40], ids=["default-block", "small-block"])
+    def test_triad_blocks_order_and_block_rule(self, monkeypatch, block):
+        # triad_sums reduces each block per n-group with reduceat, so the blocks
+        # must hold whole n-groups in the order of `modes`, k ascending within
+        # a group, `per_block` consecutive output modes per block
+        if block:
+            monkeypatch.setattr(dsp, "_TRIAD_BLOCK", block)
+        for dim, nmax in ((1, 1), (1, 4), (1, 9), (2, 1), (2, 3), (2, 5)):
+            full = dsp.full_modes(dim, nmax)
+            active = np.flatnonzero(full[:, 0])
+            per_block = max(1, dsp._TRIAD_BLOCK // active.size)
+            lower, upper = active[full[active, 0] < 0], active[full[active, 0] > 0]
+            rng = np.random.default_rng(nmax)
+            subsets = [None, upper, np.concatenate([upper[::-1][:3], lower[:3]]),
+                       rng.permutation(active)[:max(1, active.size // 3)]]
+            box = full.tolist()
+            for modes in subsets:
+                groups = []
+                for n in (active if modes is None else modes).tolist():
+                    l_modes = [[a - b for a, b in zip(box[n], box[k])] for k in active.tolist()]
+                    groups.append([(n, k) for k, l in zip(active.tolist(), l_modes)
+                                   if l[0] and max(map(abs, l)) <= nmax])
+                want = [sum(groups[s:s + per_block], []) for s in range(0, len(groups), per_block)]
+                want = [rows for rows in want if rows]
+                blocks = list(dsp.triad_blocks(dim, nmax, modes))
+                assert len(blocks) == len(want)
+                for (n, k, l), rows in zip(blocks, want):
+                    assert list(zip(n.tolist(), k.tolist())) == rows
+                    assert np.all(full[k] + full[l] == full[n])
+                    same_n = n[1:] == n[:-1]
+                    assert np.all(k[1:][same_n] > k[:-1][same_n])
+
     def test_triad_enumeration_is_exhaustive(self):
         for dim, nmax in ((1, 1), (1, 3), (1, 7), (2, 1), (2, 2), (2, 4)):
             n, k, l = triad_modes(dim, nmax)

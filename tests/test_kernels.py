@@ -1,9 +1,13 @@
 """Interaction kernels: closed forms, degenerate branch, mutual identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from wavecorr.kernels import f_kernel, sinc_kernel, tilde_f_kernel
+
+KERNELS = [f_kernel, sinc_kernel, tilde_f_kernel]
 
 
 class TestPointValues:
@@ -19,6 +23,33 @@ class TestPointValues:
     def test_tilde_kernel(self):
         assert tilde_f_kernel(0.0, 2.0) == 2.0
         assert tilde_f_kernel(np.pi, 1.0) == pytest.approx(2.0 / np.pi ** 2, rel=1e-15)
+
+
+class TestBranches:
+    # delta = 0, |delta t| just below and just above 1e-6 for each t, ordinary values
+    deltas = np.array([0.0, -0.0, 0.999e-6, -1.001e-6, 0.4999e-6, -0.5001e-6, 1.999e-6,
+                       2.001e-6, 0.37, -12.5, 3e3])
+    times = np.array([[1.0], [2.0], [0.5], [0.0], [-3.0]])
+
+    @pytest.mark.parametrize("func", KERNELS)
+    def test_array_equals_scalar_evaluations(self, func):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = func(self.deltas, self.times)
+            want = [[func(d, t) for d in self.deltas] for t in self.times[:, 0]]
+        assert got.shape == (self.times.size, self.deltas.size)
+        assert np.array_equal(got, np.array(want))
+        assert got[0, 0] == func(0.0, 1.0) == (0.5 if func is tilde_f_kernel else 1.0)
+
+    @pytest.mark.parametrize("func", KERNELS)
+    def test_scalar_inputs_give_scalars(self, func):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, t in ((0.0, 1.0), (0.999e-6, 1.0), (1.001e-6, 1.0), (2.5, 3.0),
+                         (np.float64(0.0), np.array(2.0)), (np.array(-4.0), 0.0)):
+                value = func(d, t)
+                assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+            assert np.ndim(func(np.array([0.0]), 1.0)) == 1
 
 
 class TestIdentities:
