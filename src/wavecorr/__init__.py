@@ -10,8 +10,8 @@ from .dispersion import (
     enumerate_triads, get_model, omega, omega_exact, phi,
 )
 from .field import (
-    SpectralField, apply_j, apply_semigroup, coefficient, field_from_modes,
-    full_array, sobolev_norm, zero_field,
+    SpectralField, apply_semigroup, coefficient, field_from_modes, full_array,
+    sobolev_norm,
 )
 from .kernels import f_kernel, sinc_kernel, tilde_f_kernel
 from .picard import (
@@ -20,8 +20,7 @@ from .picard import (
 )
 from .sampling import (
     EnsembleConfig, NoiseLaw, SpectrumProfile, build_spectrum, complex_gaussian,
-    custom_spectrum, moment_report, random_phase, sample_initial_field,
-    tail_report,
+    moment_report, random_phase, sample_initial_field, tail_report,
 )
 from .solver import (
     SolverBlowUp, conserved_functional, dealiased_square, evolve_array,

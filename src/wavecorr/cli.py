@@ -39,9 +39,7 @@ KEYS = {
     "grid.nmax": (16, int, False),
     "spectrum.family": ("sobolev", str, False),
     "spectrum.alpha": (3.0, float, True),
-    "spectrum.force": (False, bool, False),
     "law.kind": ("complex-gaussian", str, False),
-    "law.kurtosis": (None, float, True),
     "run.epsilon": (0.05, float, False),
     "run.t": (1.0, float, False),
     "run.dt": (2e-3, float, False),
@@ -50,11 +48,13 @@ KEYS = {
     "run.workers": (1, int, False),
     "run.batch": (128, int, False),
     "run.budget": (2e10, float, False),
-    "diagnostics.draws": (100000, int, False),
 }
 
 # |delta| at or below which `resonances` counts a KP-I triad as near-resonant
 RESONANCE_THRESHOLD = 0.05
+
+# noise draws behind each `sample-diagnostics` moment and tail estimate
+DIAGNOSTIC_DRAWS = 100_000
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -67,16 +67,15 @@ class ConfigError(ValueError):
     pass
 
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _checked(key, value, kind, nullable=False):
-    """`value` as a `kind` (int, float, bool or str); ConfigError if it is not one."""
+    """`value` as a `kind` (int, float or str); ConfigError if it is not one."""
     if value is None and nullable:
         return None
-    if kind in (bool, str):
-        ok = isinstance(value, kind)
+    if kind is str:
+        ok = isinstance(value, str)
     else:
         try:
             ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -141,7 +140,7 @@ class RunConfig:
                            else _checked(key, raw, kind, nullable))
         try:
             model = dispersion.get_model(values["model"])
-            law = sampling.law_from_kurtosis(values["law.kind"], values["law.kurtosis"])
+            law = sampling.NoiseLaw(values["law.kind"])
         except ValueError as exc:
             raise ConfigError(str(exc))
         if values["grid.nmax"] < 1:
@@ -165,10 +164,10 @@ class RunConfig:
 
     def spectrum(self, gated):
         """Build the profile; dynamics commands enforce the regularity floor."""
-        model = self.model if (gated and not self["spectrum.force"]) else None
         try:
             return sampling.build_spectrum(self["spectrum.family"], self["spectrum.alpha"],
-                                           self["grid.nmax"], self.model.dimension, model)
+                                           self["grid.nmax"], self.model.dimension,
+                                           self.model if gated else None)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -176,17 +175,28 @@ class RunConfig:
         return sampling.EnsembleConfig(self.law, self.spectrum(gated), self["run.samples"],
                                        self["run.seed"])
 
+    def check_budget(self, work, counted_as):
+        """ConfigError when `work`, counted as `counted_as`, exceeds run.budget.
+        Commands call it before they build any array."""
+        if work > self["run.budget"]:
+            raise ConfigError(f"estimated work {work:.3g} exceeds run.budget "
+                              f"{self['run.budget']:.3g} ({counted_as})")
+
     def check_work(self, samples):
-        """ConfigError when `samples` solves to the last time would cost more than
-        run.budget, counted as samples x steps x 4 stages x padded grid points."""
+        """check_budget for `samples` solves to the last time, counted as
+        samples x steps x 4 stages x padded grid points."""
         try:
             steps = solver.step_count(max(self.times), self["run.dt"])
         except ValueError as exc:
             raise ConfigError(f"run.t and run.dt: {exc}")
-        work = samples * steps * 4 * solver.padded_length(self["grid.nmax"]) ** self.model.dimension
-        if work > self["run.budget"]:
-            raise ConfigError(f"estimated work {work:.3g} exceeds run.budget "
-                              f"{self['run.budget']:.3g} (samples x steps x stages x grid points)")
+        self.check_budget(
+            samples * steps * 4 * solver.padded_length(self["grid.nmax"]) ** self.model.dimension,
+            "samples x steps x stages x grid points")
+
+    @property
+    def stored_count(self):
+        """Stored modes of the lattice, counted without building it."""
+        return math.prod(dispersion.stored_shape(self.model.dimension, self["grid.nmax"]))
 
 
 def _outfile(out, name):
@@ -309,6 +319,9 @@ def cmd_resonances(cfg, out):
 # ---------------------------------------------------------------------------
 
 def cmd_predict(cfg, out):
+    # each stored mode pairs with each of the twice as many active modes
+    cfg.check_budget(len(cfg.times) * cfg.stored_count * 2 * cfg.stored_count,
+                     "times x stored modes x active modes")
     spectrum = cfg.spectrum(gated=False)
     rows = cov.prediction_table(spectrum, cfg.law.kurtosis, cfg.model, cfg.times)
     path = _outfile(out, "predictions.csv")
@@ -330,8 +343,8 @@ def cmd_predict(cfg, out):
 def cmd_covariance(cfg, out):
     if len(cfg.times) != 1:
         raise ConfigError(f"covariance takes one time in run.t, got {len(cfg.times)}")
-    ensemble = cfg.ensemble(gated=True)
     cfg.check_work(cfg["run.samples"])
+    ensemble = cfg.ensemble(gated=True)
     try:
         report = cov.mc_covariance(
             ensemble, cfg.model, cfg["run.epsilon"], cfg.times[0], cfg["run.dt"],
@@ -383,9 +396,8 @@ def cmd_picard_scan(cfg, out):
 # ---------------------------------------------------------------------------
 
 def cmd_sample_diagnostics(cfg, out):
-    draws = cfg["diagnostics.draws"]
-    if draws < 10_000:
-        raise ConfigError("diagnostics.draws must be at least 10000")
+    draws = DIAGNOSTIC_DRAWS
+    cfg.check_budget(draws * cfg.stored_count, "draws x stored modes")
     ensemble = cfg.ensemble(gated=False)
     moments = sampling.moment_report(cfg.law, draws, seed=cfg["run.seed"])
     tail = sampling.tail_report(ensemble, draws, max(0.0, ensemble.spectrum.effective_s))
@@ -572,11 +584,6 @@ def main(argv=None):
     parser.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default: out)")
     args = parser.parse_args(argv)
-    if sys.platform.startswith("linux"):
-        # glibc returns the batch-sized arrays each RK4 stage frees to the OS, and the next
-        # stage faults them back in; M_TOP_PAD keeps 4 MB of free heap at the top instead
-        import ctypes
-        ctypes.CDLL(None).mallopt(-2, 4 << 20)
     try:
         cfg = RunConfig.from_mapping(load_config(args.config, args.overrides))
         return COMMANDS[args.command](cfg, Path(args.out))

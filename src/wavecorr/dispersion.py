@@ -106,7 +106,8 @@ def _components(model, n):
     """Split a mode (or array of modes) into float component arrays.
 
     d=1 accepts scalars or arrays of integers; d=2 accepts a pair (n1, n2)
-    or an array whose last axis has length 2.  Rejects modes with zero
+    or an array whose last axis has length 2.  Rejects non-integral
+    components (whole-number floats name their mode) and modes with zero
     first component.
     """
     arr = np.asarray(n)
@@ -118,6 +119,8 @@ def _components(model, n):
         if arr.ndim == 0 or arr.shape[-1] != 2:
             raise ValueError(f"{model.kind} modes need 2 components, got {n!r}")
         comps = (arr[..., 0].astype(float), arr[..., 1].astype(float))
+    if not all(np.all(np.isfinite(c) & (np.floor(c) == c)) for c in comps):
+        raise ValueError(f"mode {n!r} is not a point of the integer lattice")
     if np.any(comps[0] == 0):
         raise ValueError("mode has zero first component (outside the active lattice)")
     return comps
@@ -145,16 +148,14 @@ def delta(model, n, k, l):
 
 def omega_exact(model, n):
     """omega(n) in exact rational arithmetic (single mode)."""
+    n1, *rest = _lattice_point(model.dimension, n)
+    if n1 == 0:
+        raise ValueError("mode has zero first component")
     if model.dimension == 1:
-        n1 = int(n)
-        if n1 == 0:
-            raise ValueError("mode has zero first component")
         if model.kind == "kdv":
             return Fraction(n1 ** 3)
         return Fraction(-n1, 1 + n1 * n1)
-    n1, n2 = int(n[0]), int(n[1])
-    if n1 == 0:
-        raise ValueError("mode has zero first component")
+    n2, = rest
     cube = Fraction(n1 ** 3)
     transverse = Fraction(n2 * n2, n1)
     return cube + transverse if model.kind == "kpi" else cube - transverse
@@ -255,15 +256,22 @@ def mode_label(mode):
     return str(mode) if np.isscalar(mode) else ";".join(str(c) for c in mode)
 
 
-def box_index(dim, nmax, n):
-    """Full-box array index of the mode `n` (an integer for d=1, a pair for d=2);
-    ValueError for a non-integral component or a mode outside the box."""
+def _lattice_point(dim, n):
+    """The integer components of the mode `n` (an integer for d=1, a pair for
+    d=2); ValueError for a non-integral component or the wrong count."""
     comps = np.ravel(n).tolist()
     if len(comps) != dim or not all(float(c).is_integer() for c in comps):
         raise ValueError(f"mode {n!r} is not a point of the {dim}-d integer lattice")
+    return [int(c) for c in comps]
+
+
+def box_index(dim, nmax, n):
+    """Full-box array index of the mode `n` (an integer for d=1, a pair for d=2);
+    ValueError for a non-integral component or a mode outside the box."""
+    comps = _lattice_point(dim, n)
     if any(abs(c) > nmax for c in comps):
         raise ValueError(f"mode {n!r} outside the truncation nmax={nmax}")
-    return tuple(int(c) + nmax for c in comps)
+    return tuple(c + nmax for c in comps)
 
 
 def full_modes(dim, nmax):

@@ -23,9 +23,8 @@ import numpy as np
 from . import dispersion
 
 __all__ = [
-    "SpectralField", "zero_field", "field_from_modes", "random_field",
-    "coefficient", "full_array", "apply_semigroup", "apply_j",
-    "sobolev_norm",
+    "SpectralField", "field_from_modes", "random_field",
+    "coefficient", "full_array", "apply_semigroup", "sobolev_norm",
 ]
 
 
@@ -55,10 +54,6 @@ class SpectralField:
 
     def with_coeffs(self, coeffs):
         return SpectralField(self.nmax, coeffs)
-
-
-def zero_field(dim, nmax):
-    return SpectralField(nmax, np.zeros(dispersion.stored_shape(dim, nmax), dtype=complex))
 
 
 def field_from_modes(dim, nmax, modes):
@@ -104,11 +99,6 @@ def apply_semigroup(model, field, t):
     """Multiply each coefficient by exp(i omega(n) t); preserves every H^s norm."""
     phase = np.exp(1j * dispersion.omega_grid(model, field.nmax) * float(t))
     return field.with_coeffs(field.coeffs * phase)
-
-
-def apply_j(model, field):
-    """Coefficientwise multiplication by i phi(n) (the nonlinearity multiplier)."""
-    return field.with_coeffs(field.coeffs * (1j * dispersion.phi_grid(model, field.nmax)))
 
 
 def sobolev_norm(field, s):

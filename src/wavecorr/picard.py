@@ -101,11 +101,6 @@ class PicardDecomposition:
     first_iterate: SpectralField
     remainder: SpectralField
 
-    def reconstruct(self):
-        return self.datum.with_coeffs(
-            self.datum.coeffs + self.epsilon * self.first_iterate.coeffs
-            + self.epsilon ** 2 * self.remainder.coeffs)
-
 
 def _remainders(u0, model, epsilon, times, dt):
     """Remainders c = (v - u0 - eps b) / eps^2 at `times`, from one solve.

@@ -23,8 +23,8 @@ import numpy as np
 from . import dispersion
 
 __all__ = [
-    "NoiseLaw", "complex_gaussian", "random_phase", "law_from_kurtosis",
-    "SpectrumProfile", "build_spectrum", "custom_spectrum",
+    "NoiseLaw", "complex_gaussian", "random_phase",
+    "SpectrumProfile", "build_spectrum",
     "EnsembleConfig", "sample_stream", "draw_noise",
     "sample_initial_field", "sample_coeff_batch",
     "MomentReport", "moment_report", "TailReport", "tail_report",
@@ -76,29 +76,6 @@ def complex_gaussian():
 
 def random_phase(amplitude_range=None):
     return NoiseLaw("random-phase", amplitude_range)
-
-
-def law_from_kurtosis(kind, kurtosis=None):
-    """Resolve (kind, kurtosis) to a law; random-phase supports [1, 1.8)."""
-    if kind == "complex-gaussian":
-        if kurtosis is not None and not math.isclose(kurtosis, 2.0):
-            raise ValueError("complex-gaussian noise has kurtosis 2")
-        return complex_gaussian()
-    if kind != "random-phase":
-        raise ValueError(f"unknown noise law {kind!r}")
-    if kurtosis is None or math.isclose(kurtosis, 1.0):
-        return random_phase()
-    if not 1.0 < kurtosis < 1.8:
-        raise ValueError("random-phase uniform amplitudes reach kurtosis in [1, 1.8)")
-    lo, hi = 1.0, 1e9
-    for _ in range(200):
-        r = 0.5 * (lo + hi)
-        k = random_phase((1.0, r)).kurtosis
-        if k < kurtosis:
-            lo = r
-        else:
-            hi = r
-    return random_phase((1.0, 0.5 * (lo + hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +159,6 @@ def build_spectrum(family, alpha, nmax, dimension, model=None):
                 + (f" (need alpha > {floor + (0.5 if dimension == 1 else 1.0):g})"
                    if family == "sobolev" else ""))
     return profile
-
-
-def custom_spectrum(table, nmax, dimension):
-    return SpectrumProfile("custom-table", None, nmax, dimension, table)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +307,7 @@ class TailReport:
 
 _TAIL_QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.98, 0.99, 0.995, 0.998, 0.999)
 _MIN_EXCEEDANCES = 10
-_TAIL_BATCH = 1 << 16  # datum norms drawn at once; bounds the draw arrays
+_TAIL_BATCH = 1 << 20  # noise draws per block of datum norms; bounds the draw arrays
 
 
 def tail_report(config, draws, s):
@@ -357,7 +330,7 @@ def tail_report(config, draws, s):
     norms = np.empty(draws)
     done = 0
     while done < draws:
-        m = min(_TAIL_BATCH, draws - done)
+        m = min(max(1, _TAIL_BATCH // count), draws - done)
         g = draw_noise(config.law, rng, m * count).reshape(m, count)
         norms[done:done + m] = np.sqrt(
             2.0 * np.sum(weight * np.abs(g * spec.table.ravel()) ** 2, axis=1))

@@ -19,12 +19,22 @@ axes; distinct trajectories share no mutable state.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from functools import lru_cache
 
 import numpy as np
 
 from . import dispersion
+
+if sys.platform.startswith("linux"):
+    # glibc returns the batch-sized arrays each RK4 stage frees to the OS, and the next
+    # stage faults them back in; M_TOP_PAD keeps 4 MB of free heap at the top instead.
+    # Set on import, so library callers and spawned pool workers get it too.
+    import ctypes
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt.argtypes, _libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _libc.mallopt(-2, 4 << 20)  # -2 is M_TOP_PAD
 
 __all__ = [
     "SolverBlowUp", "StepAccuracyWarning",

@@ -59,10 +59,23 @@ class TestConfig:
         assert merged["grid.nmax"] == 9
         assert merged["spectrum.family"] == "constant"
 
-    def test_set_parses_json_values(self):
-        merged = cli.load_config(None, ["run.t=[0.5,1.0]", "spectrum.force=true"])
+    def test_set_parses_json_values(self, tmp_path, capsys):
+        merged = cli.load_config(None, ["run.t=[0.5,1.0]", "run.samples=true"])
         assert merged["run.t"] == [0.5, 1.0]
-        assert merged["spectrum.force"] is True
+        assert merged["run.samples"] is True
+        # JSON true is no integer, although Python's bool is an int
+        assert run_cli(tmp_path, "predict", "--set", "run.samples=true") == 64
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: run.samples must be an integer, got True"]
+
+    @pytest.mark.parametrize("item", ["law.kurtosis=1.4", "spectrum.force=true",
+                                      "diagnostics.draws=20000"])
+    def test_deleted_keys_are_unknown(self, tmp_path, capsys, item):
+        assert len(cli.KEYS) == 13
+        assert run_cli(tmp_path, "predict", "--set", item) == 64
+        key = item.split("=")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: unknown config key {key!r}"]
 
     @pytest.mark.parametrize("item", ["run.samples=abc", "run.epsilon=abc", "run.dt=[1]"])
     def test_malformed_value_exits_64(self, tmp_path, item):
@@ -80,25 +93,6 @@ class TestConfig:
             assert run_cli(tmp_path, "predict", "--set", f"run.seed={seed}") == 64
             assert capsys.readouterr().err.splitlines() == [
                 f"config error: run.seed must lie in [0, 2^64), got {seed}"]
-
-    def test_law_kurtosis_selects_the_amplitude_law(self, tmp_path):
-        def g_total(kurtosis):
-            out = tmp_path / str(kurtosis)
-            assert cli.main(["predict", "--set", "law.kind=random-phase", "--set", "grid.nmax=6",
-                             "--set", f"law.kurtosis={kurtosis}", "--out", str(out)]) == 0
-            rows = (out / "predictions.csv").read_text().strip().splitlines()[1:]
-            return {int(r.split(",")[1]): r.split(",")[4] for r in rows}
-
-        unit, wide = g_total(1.0), g_total(1.5)
-        # the kurtosis term is live on every mode but 5 at nmax=6
-        assert [m for m in unit if unit[m] != wide[m]] == [1, 2, 3, 4, 6]
-
-    @pytest.mark.parametrize("law", ["random-phase", "complex-gaussian"])
-    def test_unreachable_kurtosis_exits_64(self, tmp_path, capsys, law):
-        kurtosis = 1.9 if law == "random-phase" else 1.5
-        assert run_cli(tmp_path, "predict", "--set", f"law.kind={law}",
-                       "--set", f"law.kurtosis={kurtosis}") == 64
-        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["covariance", "picard-scan"])
     @pytest.mark.parametrize("item", ["run.dt=5e-324", "run.t=1e308"])
@@ -306,13 +300,12 @@ class TestCovarianceCommand:
         assert step_warnings(2) == serial
 
     def test_lost_samples_exit_3_with_one_line(self, tmp_path, capsys):
-        # a datum so rough that every trajectory blows up
+        # a smooth datum at a step so large that every trajectory blows up
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = run_cli(tmp_path, "covariance", "--set", "model=kdv", "--set", "grid.nmax=4",
-                           "--set", "spectrum.alpha=-12", "--set", "spectrum.force=true",
-                           "--set", "run.epsilon=1", "--set", "run.t=5", "--set", "run.dt=0.5",
-                           "--set", "run.samples=8")
+                           "--set", "spectrum.alpha=2.6", "--set", "run.epsilon=1",
+                           "--set", "run.t=20", "--set", "run.dt=2", "--set", "run.samples=8")
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [
             "covariance: REPORT INVALID (fewer than two usable samples; cannot form errors)"]
@@ -357,8 +350,7 @@ class TestOtherCommands:
         assert not (tmp_path / "over").exists() and not (tmp_path / "long").exists()
 
     def test_sample_diagnostics_json(self, tmp_path):
-        code = run_cli(tmp_path, "sample-diagnostics",
-                       "--set", "diagnostics.draws=20000", "--set", "grid.nmax=6")
+        code = run_cli(tmp_path, "sample-diagnostics", "--set", "grid.nmax=6")
         assert code == 0
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert payload["moments"]["flagged"] == []
@@ -366,13 +358,34 @@ class TestOtherCommands:
 
     def test_random_phase_exact_fourth_moment(self, tmp_path, capsys):
         code = run_cli(tmp_path, "sample-diagnostics", "--set", "law.kind=random-phase",
-                       "--set", "diagnostics.draws=20000", "--set", "grid.nmax=6")
+                       "--set", "grid.nmax=6")
         assert code == 0
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert payload["moments"]["moments"]["abs4"]["value"] == [1.0, 0.0]
         # |g| = 1 fixes the datum norm, so there is no tail to report
         assert payload["tail"]["ladder"] == [] and payload["tail"]["slope"] is None
         assert "no tail: the datum norm is constant" in capsys.readouterr().out
+
+    # each would ask for arrays of 149 GiB to 48 TiB; refused before any is built
+    @pytest.mark.parametrize("command,nmax,alpha", [
+        ("predict", 100_000, 3.5), ("covariance", 100_000, 4.0),
+        ("sample-diagnostics", 5000, 3.5)])
+    def test_huge_lattice_exits_64(self, tmp_path, capsys, command, nmax, alpha):
+        assert run_cli(tmp_path, command, "--set", "model=kpii", "--set", f"grid.nmax={nmax}",
+                       "--set", f"spectrum.alpha={alpha}") == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: estimated work ")
+        assert not any(tmp_path.iterdir())
+
+    def test_predict_and_diagnostics_budgets(self, tmp_path):
+        # BBM nmax=6: 6 stored modes x 12 active modes per time
+        args = ("predict", "--set", "grid.nmax=6", "--set", "run.t=[0.5,1.0]")
+        assert run_cli(tmp_path / "a", *args, "--set", "run.budget=144") == 0
+        assert run_cli(tmp_path / "b", *args, "--set", "run.budget=143") == 64
+        # 100,000 draws x 6 stored modes
+        args = ("sample-diagnostics", "--set", "grid.nmax=6")
+        assert run_cli(tmp_path / "c", *args, "--set", "run.budget=600000") == 0
+        assert run_cli(tmp_path / "d", *args, "--set", "run.budget=599999") == 64
 
 
 class TestVerify:

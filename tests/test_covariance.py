@@ -1,6 +1,10 @@
 """Analytic G evaluation and the coupled Monte Carlo estimator."""
 
 import json
+import multiprocessing
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -122,7 +126,7 @@ class TestKineticResidual:
         assert np.any(res != 0.0)  # the Pell triad divisor 1/56 < 0.02
 
     def test_empty_spectrum(self):
-        spec = smp.custom_spectrum(np.zeros(dsp.stored_shape(2, 4)), 4, 2)
+        spec = smp.SpectrumProfile("custom-table", None, 4, 2, np.zeros(dsp.stored_shape(2, 4)))
         assert np.all(cov.kinetic_residual(spec, dsp.KPI, 10.0) == 0.0)
 
 
@@ -188,6 +192,40 @@ class TestMcCovariance:
         assert sizes == [2, 2]  # 2 batches for 3 workers, then 4 batches for 2
         assert pooled.to_csv() == serial.to_csv()
 
+    # a fresh interpreter per start method: the batch function and its bound
+    # arguments are pickled to the workers, and their warnings back
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method(self, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        script = tmp_path / "pool.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing, sys, warnings
+            import numpy as np
+            from wavecorr import covariance as cov, dispersion as dsp, sampling as smp
+
+            def run(workers):
+                spec = smp.build_spectrum("sobolev", 3.0, 16, 1)
+                ens = smp.EnsembleConfig(smp.complex_gaussian(), spec, 8, 1717)
+                with warnings.catch_warnings(record=True) as rec:
+                    warnings.simplefilter("always")
+                    # KdV nmax=16 at dt=2e-3: both batches raise the step warning
+                    rep = cov.mc_covariance(ens, dsp.KDV, 0.1, 0.1, 2e-3,
+                                            workers=workers, batch_size=4)
+                return rep, [(r.category.__name__, str(r.message)) for r in rec]
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method(sys.argv[1])
+                (serial, seen), (pooled, relayed) = run(1), run(2)
+                assert np.array_equal(serial.estimates, pooled.estimates)
+                assert np.array_equal(serial.stderrs, pooled.stderrs)
+                assert [w for w, _ in seen] == ["StepAccuracyWarning"]
+                assert relayed == seen, relayed
+            """))
+        proc = subprocess.run([sys.executable, str(script), method],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_zscores_reasonable_on_small_run(self):
         rep = cov.mc_covariance(self.make_ensemble(512), dsp.BBM, 0.05, 1.0, 5e-3,
                                 batch_size=128)
@@ -211,7 +249,7 @@ class TestMcCovariance:
 
     def test_all_samples_lost_raises(self):
         # a datum scale that explodes every trajectory
-        spec = smp.custom_spectrum(np.full(4, 1e8), 4, 1)
+        spec = smp.SpectrumProfile("custom-table", None, 4, 1, np.full(4, 1e8))
         ens = smp.EnsembleConfig(smp.complex_gaussian(), spec, 8, 5)
         with pytest.raises(RuntimeError):
             cov.mc_covariance(ens, dsp.KDV, 1.0, 5.0, 0.5)
@@ -304,7 +342,7 @@ class TestExactExpectationOracle:
     # mode 2 doubles to 4, outside nmax=2: the two-mode dynamics lack that term too
     @pytest.mark.filterwarnings("ignore::wavecorr.covariance.TruncationWarning")
     def test_g_formula_matches_exact_expectation(self, kurtosis, expectation):
-        spec = smp.custom_spectrum(self.lam, self.nmax, 1)
+        spec = smp.SpectrumProfile("custom-table", None, self.nmax, 1, self.lam)
         g_pred = np.array([cov.g_total(n, spec, kurtosis, dsp.BBM, self.t)
                            for n in (1, 2)])
         fn = getattr(self, expectation)

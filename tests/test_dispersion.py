@@ -53,6 +53,23 @@ class TestOmegaPhi:
         with pytest.raises(ValueError):
             dsp.omega(dsp.KDV, np.array([[1, 2]]))
 
+    @pytest.mark.parametrize("model,mode", [
+        (dsp.KDV, 2.5), (dsp.BBM, [1, 2.5]), (dsp.KPI, (2.7, 1.2)), (dsp.KPII, (2, 0.5)),
+        (dsp.KDV, np.nan), (dsp.KPI, (np.inf, 1))])
+    def test_non_integral_mode_rejected(self, model, mode):
+        # truncating 2.5 to 2 would answer about another mode
+        for func in (dsp.omega, dsp.phi):
+            with pytest.raises(ValueError, match="integer lattice"):
+                func(model, mode)
+        if np.ndim(mode) == model.dimension - 1:  # the exact oracle takes one mode
+            with pytest.raises(ValueError, match="integer lattice"):
+                dsp.omega_exact(model, mode)
+
+    def test_whole_number_floats_name_their_mode(self):
+        assert dsp.omega(dsp.KDV, 2.0) == dsp.omega_exact(dsp.KDV, 2.0) == 8
+        assert dsp.omega_exact(dsp.KPI, (2.0, 1.0)) == Fraction(17, 2)
+        assert dsp.phi(dsp.KPII, np.array([[3.0, -1.0]])).tolist() == [3.0]
+
     def test_vectorized_matches_scalar(self):
         ns = np.array([1, -2, 5, 17])
         vals = dsp.omega(dsp.BBM, ns)
@@ -79,6 +96,15 @@ class TestDelta:
             dsp.delta(dsp.KDV, 4, 1, 2)
         with pytest.raises(ValueError):
             dsp.delta_exact(dsp.KPII, (3, 1), (1, 0), (2, 0))
+
+    def test_non_integral_triad_rejected(self):
+        # 1.5 + 2.0 = 3.5 satisfies the constraint; truncation gave -18, not -31.5
+        for func in (dsp.delta, dsp.delta_exact):
+            with pytest.raises(ValueError, match="integer lattice"):
+                func(dsp.KDV, 3.5, 1.5, 2.0)
+            with pytest.raises(ValueError, match="integer lattice"):
+                func(dsp.KPI, (3.5, 1), (1.5, 0), (2, 1))
+        assert dsp.delta_exact(dsp.KDV, 3.0, 1.0, 2.0) == dsp.delta(dsp.KDV, 3.0, 1.0, 2.0) == -18
 
     def test_exact_matches_float(self):
         rng = np.random.default_rng(3)

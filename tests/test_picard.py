@@ -106,14 +106,17 @@ class TestFirstHarmonic:
 
 class TestRemainder:
     def test_zero_datum(self):
-        c = pic.decompose(fld.zero_field(1, 6), dsp.BBM, 0.1, 1.0, dt=2e-3).remainder
+        c = pic.decompose(fld.field_from_modes(1, 6, {}), dsp.BBM, 0.1, 1.0, dt=2e-3).remainder
         assert np.all(c.coeffs == 0.0)
 
     def test_decomposition_reconstructs_solution(self):
         u0 = smooth_field(1, 8, seed=6)
         dec = pic.decompose(u0, dsp.BBM, 0.2, 1.0, dt=2e-3)
         final = evolve_array(dsp.BBM, 0.2, u0.coeffs, 2e-3, 1.0)[0]
-        assert np.max(np.abs(dec.reconstruct().coeffs - final)) < 1e-15
+        eps = dec.epsilon
+        rebuilt = (dec.datum.coeffs + eps * dec.first_iterate.coeffs
+                   + eps ** 2 * dec.remainder.coeffs)
+        assert np.max(np.abs(rebuilt - final)) < 1e-15
 
     def test_epsilon_consistency(self):
         # c(eps) - c(eps/2) shrinks linearly in eps (Richardson with eps/4)

@@ -25,16 +25,6 @@ class TestNoiseLaws:
         g = smp.draw_noise(law, smp.sample_stream(1, 0), 400_000)
         assert np.mean(np.abs(g) ** 4) == pytest.approx(law.kurtosis, rel=0.01)
 
-    def test_law_from_kurtosis(self):
-        assert smp.law_from_kurtosis("complex-gaussian", None).kind == "complex-gaussian"
-        assert smp.law_from_kurtosis("random-phase", 1.0).amplitude_range is None
-        law = smp.law_from_kurtosis("random-phase", 1.4)
-        assert law.kurtosis == pytest.approx(1.4, abs=1e-9)
-        with pytest.raises(ValueError):
-            smp.law_from_kurtosis("complex-gaussian", 1.0)
-        with pytest.raises(ValueError):
-            smp.law_from_kurtosis("random-phase", 1.9)
-
     def test_rotational_invariance_of_phase_law(self):
         # multiplying by a fixed phase leaves the law unchanged; compare moments
         law = smp.random_phase()
@@ -75,7 +65,7 @@ class TestSpectrumProfiles:
     def test_empty_lattice_rejected(self, dim):
         # nmax = 0 stores no mode at all; the triad sums would divide by zero
         with pytest.raises(ValueError, match="nmax"):
-            smp.custom_spectrum(np.zeros(dsp.stored_shape(dim, 0)), 0, dim)
+            smp.SpectrumProfile("custom-table", None, 0, dim, np.zeros(dsp.stored_shape(dim, 0)))
         with pytest.raises(ValueError, match="nmax"):
             smp.build_spectrum("sobolev", 3.0, 0, dim)
 
@@ -148,7 +138,7 @@ class TestEnsembles:
         assert np.mean(energy) == pytest.approx(12.0, abs=4.0 * np.sqrt(12.0 / 2048.0))
 
     def test_zero_spectrum_gives_zero_field(self):
-        spec = smp.custom_spectrum(np.zeros(6), 6, 1)
+        spec = smp.SpectrumProfile("custom-table", None, 6, 1, np.zeros(6))
         ens = smp.EnsembleConfig(smp.complex_gaussian(), spec, 4, 0)
         assert np.all(smp.sample_initial_field(ens, 0).coeffs == 0.0)
 
@@ -211,7 +201,7 @@ class TestTailReport:
         assert 0.5 * rep.rms_analytic <= rep.median <= 2.0 * rep.rms_analytic
 
     def test_zero_spectrum_all_frequencies_zero(self):
-        spec = smp.custom_spectrum(np.zeros(4), 4, 1)
+        spec = smp.SpectrumProfile("custom-table", None, 4, 1, np.zeros(4))
         ens = smp.EnsembleConfig(smp.complex_gaussian(), spec, 2, 0)
         rep = smp.tail_report(ens, 20_000, s=1.0)
         assert rep.ladder == [] and rep.omitted == 0
@@ -230,6 +220,24 @@ class TestTailReport:
         rep = smp.tail_report(ens, 12_000, s=0.5)
         used = sum(1 for row in rep.ladder if row[3])
         assert used + rep.omitted == len(rep.ladder)
+
+    def test_blocks_bound_the_draws_not_the_rows(self, monkeypatch):
+        # a wide lattice must not widen the blocks: each draws at most
+        # _TAIL_BATCH noise values (or one datum), and the blocking leaves the
+        # report unchanged
+        ens = self.make()
+        whole = smp.tail_report(ens, 12_000, s=1.0)
+        sizes = []
+        real = smp.draw_noise
+
+        def recording(law, rng, count):
+            sizes.append(count)
+            return real(law, rng, count)
+
+        monkeypatch.setattr(smp, "draw_noise", recording)
+        monkeypatch.setattr(smp, "_TAIL_BATCH", 100)
+        assert smp.tail_report(ens, 12_000, s=1.0) == whole
+        assert max(sizes) <= 100 and sum(sizes) == 12_000 * 8
 
     def test_minimum_draws_enforced(self):
         with pytest.raises(ValueError):
