@@ -2,8 +2,7 @@
 random dispersive waves (KdV, BBM, KP-I, KP-II) on the torus."""
 
 from .covariance import (
-    CovarianceReport, compare_prediction, g_rate, g_total, kinetic_residual,
-    mc_covariance, prediction_table,
+    CovarianceReport, compare_prediction, g_rate, g_total, mc_covariance,
 )
 from .dispersion import (
     BBM, KDV, KPI, KPII, MODELS, DispersionModel, delta, delta_exact,

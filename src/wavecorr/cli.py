@@ -323,15 +323,25 @@ def cmd_predict(cfg, out):
     cfg.check_budget(len(cfg.times) * cfg.stored_count * 2 * cfg.stored_count,
                      "times x stored modes x active modes")
     spectrum = cfg.spectrum(gated=False)
-    rows = cov.prediction_table(spectrum, cfg.law.kurtosis, cfg.model, cfg.times)
+    dim, nmax = spectrum.dimension, spectrum.nmax
+    size = dispersion.mode_l1(dim, nmax).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        values, flagged = cov.g_table(spectrum, cfg.law.kurtosis, cfg.model, cfg.times)
+        envelopes = [cov.decay_envelope(cfg.model, size, spectrum.effective_s, t)
+                     for t in cfg.times]
+    if not (np.isfinite(values).all() and np.isfinite(envelopes).all()):
+        raise ConfigError("G_n or its decay envelope is not finite for this spectrum and run.t")
+    flagged = set(flagged)
+    # (mode, l1, lambda_sq) cells and the warnings cell of each stored mode
+    cells = [(f"{dispersion.mode_label(m)},{n},{lam2:.17g}", "truncated-2n" if m in flagged else "")
+             for m, n, lam2 in zip(dispersion.mode_list(dim, nmax), size.tolist(),
+                                   spectrum.lambda_sq.ravel().tolist())]
     path = _outfile(out, "predictions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,mode,l1,lambda_sq,g_total,envelope,warnings\n")
-        for t, mode, size, lam2, g, env, flagged in rows:
-            fh.write(",".join([
-                f"{t:.17g}", dispersion.mode_label(mode), str(size),
-                f"{lam2:.17g}", f"{g:.17g}", f"{env:.17g}",
-                "truncated-2n" if flagged else ""]) + "\n")
+        for t, g_t, env in zip(cfg.times, values.reshape(len(cfg.times), -1), envelopes):
+            fh.writelines(f"{t:.17g},{mode},{g:.17g},{e:.17g},{note}\n"
+                          for (mode, note), g, e in zip(cells, g_t.tolist(), env.tolist()))
     print(f"predict: wrote {len(cfg.times)} time slice(s) -> {path}")
     return EXIT_OK
 
@@ -400,7 +410,10 @@ def cmd_sample_diagnostics(cfg, out):
     cfg.check_budget(draws * cfg.stored_count, "draws x stored modes")
     ensemble = cfg.ensemble(gated=False)
     moments = sampling.moment_report(cfg.law, draws, seed=cfg["run.seed"])
-    tail = sampling.tail_report(ensemble, draws, max(0.0, ensemble.spectrum.effective_s))
+    try:
+        tail = sampling.tail_report(ensemble, draws, max(0.0, ensemble.spectrum.effective_s))
+    except ValueError as exc:  # a datum norm that is not finite
+        raise ConfigError(str(exc))
     path = _outfile(out, "diagnostics.json")
     payload = {"moments": moments.record(), "tail": tail.record()}
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")

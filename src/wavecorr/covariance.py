@@ -43,7 +43,7 @@ from .solver import evolve_array
 __all__ = [
     "TruncationWarning", "TheoryWindowWarning", "TooFewSamplesError",
     "g_rate", "g_total", "g_total_terms", "g_table",
-    "kinetic_residual", "decay_envelope", "prediction_table",
+    "decay_envelope",
     "CovarianceReport", "mc_covariance", "ComparisonVerdict", "compare_prediction",
 ]
 
@@ -168,24 +168,6 @@ def g_table(spectrum, kurtosis, model, t):
             [labels[m] for m in np.flatnonzero(dropped)])
 
 
-def kinetic_residual(spectrum, model, resonance_threshold):
-    """Near-resonant triad sum of the equilibrium bracket, per stored mode.
-
-    Kurtosis 2 is assumed (the bracket then closes in the |lambda|^2 alone).
-    For BBM and KP-II any threshold below the truncation's smallest divisor
-    makes every sum empty, hence exactly zero.
-    """
-    dim, nmax = spectrum.dimension, spectrum.nmax
-    om, ph, lam2 = _full_tables(spectrum, model)
-
-    def weight(n, k, l):
-        near = np.abs(om[k] + om[l] - om[n]) <= resonance_threshold
-        return np.where(near, _bracket(ph, lam2, n, k, l), 0.0)
-
-    sums = dispersion.triad_sums(dim, nmax, weight, dispersion.stored_modes(dim, nmax))
-    return sums.reshape(dispersion.stored_shape(dim, nmax))
-
-
 def _decay_exponent(model, s):
     """Power of the l1 size |n| in the decay envelope of G_n at regularity s."""
     if model.kind == "bbm":
@@ -198,27 +180,7 @@ def _decay_exponent(model, s):
 def decay_envelope(model, n_l1, s, t):
     """Shape of the decay bound on |G_n| (constant-free envelope)."""
     envelope = np.asarray(n_l1, dtype=float) ** _decay_exponent(model, s)
-    return float(t) ** 2 * envelope if model.kind == "kpi" else envelope
-
-
-def prediction_table(spectrum, kurtosis, model, times):
-    """Rows (t, mode, l1 size, |lambda_n|^2, G_n, envelope, flagged).
-
-    One row per time of the 1-d `times` and stored mode, times outermost.
-    """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    dim, nmax = spectrum.dimension, spectrum.nmax
-    values, flagged = g_table(spectrum, kurtosis, model, times)
-    flagged_set = set(flagged)
-    size = dispersion.mode_l1(dim, nmax).reshape(-1)
-    lam2 = spectrum.lambda_sq.reshape(-1)
-    modes = dispersion.mode_list(dim, nmax)
-    rows = []
-    for t, g in zip(times, values.reshape(times.size, -1)):
-        env = decay_envelope(model, size, spectrum.effective_s, t)
-        rows += [(float(t), mode, int(size[m]), float(lam2[m]), float(g[m]), float(env[m]),
-                  mode in flagged_set) for m, mode in enumerate(modes)]
-    return rows
+    return np.float64(t) ** 2 * envelope if model.kind == "kpi" else envelope
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +330,9 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
 
     g_values, flagged = g_table(spectrum, ensemble.law.kurtosis, model, t)
     g_flat = g_values.reshape(-1)
-    zero_err = stderrs == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (estimates - g_flat) / stderrs
-    z[zero_err & (estimates == g_flat)] = 0.0
-    z[zero_err & (estimates != g_flat)] = np.inf
+        z = (estimates - g_flat) / stderrs  # a zero stderr gives a signed infinity
+    z[(stderrs == 0.0) & (estimates == g_flat)] = 0.0
     return CovarianceReport(
         ensemble=ensemble, model=model, epsilon=epsilon, t=t, dt=dt, used=used,
         excluded=excluded, invalid=len(excluded) > 0.01 * ensemble.samples,

@@ -2,10 +2,10 @@
 
 The datum is u0(x) = sum_n g_n lambda_n e^(i n.x) with one independent draw
 g_n per stored mode (the mirror half follows by conjugation).  Supported
-laws: the standard complex Gaussian, and random-phase noise A*e^(i Theta)
-with Theta uniform and A either constant 1 or uniform on an interval
-rescaled so E(A^2) = 1.  Both laws have mean zero, unit second absolute
-moment, vanishing E(g^2), and full rotational symmetry.
+laws: the standard complex Gaussian (E|g|^4 = 2), and random-phase noise
+e^(i Theta) with Theta uniform (|g| = 1, E|g|^4 = 1).  Both laws have mean
+zero, unit second absolute moment, vanishing E(g^2), and full rotational
+symmetry.
 
 Streams are counter-mode (Philox) keyed by (master seed, sample index), so
 any subset of the ensemble can be regenerated in any order; mode draws are
@@ -45,37 +45,22 @@ class NoiseLaw:
     """Unit-variance complex mode law; kurtosis means E|g|^4."""
 
     kind: str
-    amplitude_range: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in ("complex-gaussian", "random-phase"):
             raise ValueError(f"unknown noise law {self.kind!r}")
-        if self.amplitude_range is not None:
-            if self.kind != "random-phase":
-                raise ValueError("amplitude_range only applies to random-phase noise")
-            a, b = self.amplitude_range
-            if not 0.0 <= a < b:
-                raise ValueError("amplitude_range must satisfy 0 <= low < high")
-            object.__setattr__(self, "amplitude_range", (float(a), float(b)))
 
     @property
     def kurtosis(self):
-        if self.kind == "complex-gaussian":
-            return 2.0
-        if self.amplitude_range is None:
-            return 1.0
-        a, b = self.amplitude_range
-        m2 = (a * a + a * b + b * b) / 3.0
-        m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
-        return m4 / (m2 * m2)
+        return 2.0 if self.kind == "complex-gaussian" else 1.0
 
 
 def complex_gaussian():
     return NoiseLaw("complex-gaussian")
 
 
-def random_phase(amplitude_range=None):
-    return NoiseLaw("random-phase", amplitude_range)
+def random_phase():
+    return NoiseLaw("random-phase")
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +83,10 @@ class SpectrumProfile:
         arr = np.asarray(self.table, dtype=float)
         if arr.shape != dispersion.stored_shape(self.dimension, self.nmax):
             raise ValueError("profile table does not match the stored lattice shape")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("profile amplitudes must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            squares_finite = np.all(np.isfinite(arr * arr))
+        if np.any(arr < 0) or not squares_finite:
+            raise ValueError("profile amplitudes must be nonnegative, with finite squares")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
@@ -135,7 +122,8 @@ def build_spectrum(family, alpha, nmax, dimension, model=None):
             raise ValueError("sobolev profile needs a decay exponent alpha")
         grids = dispersion.mode_grids(dimension, nmax)
         size_sq = sum(g.astype(float) ** 2 for g in grids)
-        table = (1.0 + size_sq) ** (-float(alpha) / 2.0)
+        with np.errstate(over="ignore"):  # an overflow is refused by SpectrumProfile
+            table = (1.0 + size_sq) ** (-float(alpha) / 2.0)
     elif family == "bbm-gibbs":
         if dimension != 1:
             raise ValueError("bbm-gibbs profile is one-dimensional")
@@ -188,18 +176,12 @@ def sample_stream(seed, index):
 
 
 def draw_noise(law, rng, count):
-    """`count` draws of g in a fixed order (re/im pairs, or phase then amplitude)."""
+    """`count` draws of g in a fixed order (re/im pairs, or one phase each)."""
     if law.kind == "complex-gaussian":
         z = rng.standard_normal(2 * count)
         return (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
     theta = rng.random(count) * (2.0 * np.pi)
-    if law.amplitude_range is None:
-        amp = 1.0
-    else:
-        a, b = law.amplitude_range
-        m2 = (a * a + a * b + b * b) / 3.0
-        amp = rng.uniform(a, b, count) / np.sqrt(m2)
-    return amp * np.exp(1j * theta)
+    return np.exp(1j * theta)
 
 
 def sample_initial_field(config, index):
@@ -321,26 +303,29 @@ def tail_report(config, draws, s):
     if draws < 10_000:
         raise ValueError("tail diagnostics need at least 1e4 draws")
     spec = config.spectrum
-    weight = dispersion.mode_l1(spec.dimension, spec.nmax).ravel() ** (2.0 * s)
-    lam_sq = (spec.table.ravel()) ** 2
-    rms = math.sqrt(2.0 * float(np.sum(weight * lam_sq)))
-
     rng = sample_stream(config.seed, _TAIL_STREAM)
-    count = weight.size
     norms = np.empty(draws)
     done = 0
-    while done < draws:
-        m = min(max(1, _TAIL_BATCH // count), draws - done)
-        g = draw_noise(config.law, rng, m * count).reshape(m, count)
-        norms[done:done + m] = np.sqrt(
-            2.0 * np.sum(weight * np.abs(g * spec.table.ravel()) ** 2, axis=1))
-        done += m
+    # |n|^(2s) may overflow where lambda_n^2 underflows (inf * 0); such a
+    # norm is refused below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = dispersion.mode_l1(spec.dimension, spec.nmax).ravel() ** (2.0 * s)
+        rms = math.sqrt(2.0 * float(np.sum(weight * spec.table.ravel() ** 2)))
+        count = weight.size
+        while done < draws:
+            m = min(max(1, _TAIL_BATCH // count), draws - done)
+            g = draw_noise(config.law, rng, m * count).reshape(m, count)
+            norms[done:done + m] = np.sqrt(
+                2.0 * np.sum(weight * np.abs(g * spec.table.ravel()) ** 2, axis=1))
+            done += m
+    if not (math.isfinite(rms) and np.isfinite(norms).all()):
+        raise ValueError(f"the H^{s:g} datum norm is not finite in floating point")
 
     median = float(np.median(norms))
     ladder, fit_r, fit_p = [], [], []
     omitted = 0
     largest = float(norms.max())
-    quantiles = _TAIL_QUANTILES if largest - float(norms.min()) > 1e-12 * largest else ()
+    quantiles = () if largest - float(norms.min()) <= 1e-12 * largest else _TAIL_QUANTILES
     for q in quantiles:
         r = float(np.quantile(norms, q))
         exceed = int(np.sum(norms >= r))

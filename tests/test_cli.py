@@ -214,6 +214,27 @@ class TestPredict:
             rate = np.array([cov.g_rate(n, spec, 2.0, dsp.BBM, tau) for tau in taus])
             assert float(cells[4]) == pytest.approx(float(np.sum(w * rate)), abs=1e-8)
 
+    @pytest.mark.parametrize("law", ["random-phase", "complex-gaussian"])
+    def test_size_envelope_and_truncation_columns(self, tmp_path, law):
+        # s = 2.5 in both runs, so the envelope is l1^-5; only a kurtosis
+        # other than 2 has a term that needs the doubled mode 2n
+        runs = [(["model=kdv", "grid.nmax=4", "run.t=[0.5,1]"], ["0.5"] * 4 + ["1"] * 4,
+                 ["1", "2", "3", "4"] * 2, {"3", "4"}),
+                (["model=kpii", "grid.nmax=2", "spectrum.alpha=3.5"], ["1"] * 10,
+                 [f"{n1};{n2}" for n1 in (1, 2) for n2 in range(-2, 3)],
+                 {"1;-2", "1;2", "2;-2", "2;-1", "2;0", "2;1", "2;2"})]
+        for i, (sets, times, modes, flagged) in enumerate(runs):
+            out = tmp_path / str(i)
+            assert run_cli(out, "predict", "--set", f"law.kind={law}",
+                           *[a for item in sets for a in ("--set", item)]) == 0
+            rows = [r.split(",") for r in (out / "predictions.csv").read_text().splitlines()[1:]]
+            assert [r[0] for r in rows] == times and [r[1] for r in rows] == modes
+            for _, mode, l1, _, _, envelope, _ in rows:
+                assert int(l1) == sum(abs(int(c)) for c in mode.split(";"))
+                assert float(envelope) == pytest.approx(int(l1) ** -5.0, rel=1e-15)
+            assert {r[6] for r in rows} <= {"", "truncated-2n"}
+            assert {r[1] for r in rows if r[6]} == (flagged if law == "random-phase" else set())
+
 
 class TestCovarianceCommand:
     args = ("covariance", "--set", "grid.nmax=6", "--set", "run.samples=64",
@@ -375,6 +396,24 @@ class TestOtherCommands:
                        "--set", f"spectrum.alpha={alpha}") == 64
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: estimated work ")
+        assert not any(tmp_path.iterdir())
+
+    # lambda_n^2, G_n, the KP-I envelope t^2 |n|^(2-2s) or the datum norm
+    # (|n|^(2s) overflowing where lambda_n^2 underflows) leaves the float range
+    @pytest.mark.parametrize("args", [
+        ("predict", "model=kpii", "spectrum.alpha=-400", "grid.nmax=4"),
+        ("predict", "spectrum.alpha=-200", "grid.nmax=4"),
+        ("predict", "model=kpi", "run.t=1e160", "grid.nmax=2", "spectrum.alpha=4"),
+        ("sample-diagnostics", "spectrum.alpha=200"),
+        ("sample-diagnostics", "spectrum.alpha=-400", "grid.nmax=4"),
+        ("sample-diagnostics", "spectrum.alpha=-400")])
+    def test_non_finite_values_exit_64_with_one_line(self, tmp_path, capsys, args):
+        command, *sets = args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(tmp_path, command, *[a for item in sets for a in ("--set", item)]) == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
         assert not any(tmp_path.iterdir())
 
     def test_predict_and_diagnostics_budgets(self, tmp_path):

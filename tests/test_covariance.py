@@ -108,28 +108,6 @@ class TestGEvaluator:
         assert cov.g_total(2.0, spec, 2.0, dsp.KDV, 1.0) == cov.g_total(2, spec, 2.0, dsp.KDV, 1.0)
 
 
-class TestKineticResidual:
-    def test_no_resonance_models_are_empty_sums(self):
-        spec = smp.build_spectrum("sobolev", 4.0, 8, 2)
-        assert np.all(cov.kinetic_residual(spec, dsp.KPII, 1.0) == 0.0)
-        spec1 = sobolev(3.0, 16)
-        assert np.all(cov.kinetic_residual(spec1, dsp.BBM, 0.1) == 0.0)
-
-    def test_kpi_equilibrium_cancellation(self):
-        spec = smp.build_spectrum("constant", None, 8, 2)
-        res = cov.kinetic_residual(spec, dsp.KPI, 0.02)
-        assert np.max(np.abs(res)) <= 1e-14
-
-    def test_kpi_nonequilibrium_sees_near_resonances(self):
-        spec = smp.build_spectrum("sobolev", 4.0, 16, 2)
-        res = cov.kinetic_residual(spec, dsp.KPI, 0.02)
-        assert np.any(res != 0.0)  # the Pell triad divisor 1/56 < 0.02
-
-    def test_empty_spectrum(self):
-        spec = smp.SpectrumProfile("custom-table", None, 4, 2, np.zeros(dsp.stored_shape(2, 4)))
-        assert np.all(cov.kinetic_residual(spec, dsp.KPI, 10.0) == 0.0)
-
-
 class TestEnvelope:
     def test_shapes(self):
         n = np.array([1.0, 2.0, 4.0])
@@ -153,6 +131,12 @@ class TestMcCovariance:
         rep = cov.mc_covariance(self.make_ensemble(16), dsp.BBM, 0.0, 1.0, 1e-2)
         assert np.all(rep.estimates == 0.0)
         assert np.all(rep.stderrs == 0.0)
+
+    def test_zero_stderr_keeps_the_sign_of_z(self):
+        # at eps = 0 each estimate and stderr is exactly 0, so z = -sign(G_n) inf
+        rep = cov.mc_covariance(self.make_ensemble(16, nmax=4), dsp.BBM, 0.0, 1.0, 1e-2)
+        assert np.any(rep.g_pred > 0) and np.any(rep.g_pred < 0)
+        assert np.array_equal(rep.zscores, np.where(rep.g_pred > 0, -np.inf, np.inf))
 
     def test_zero_time_estimates_exactly_zero(self):
         rep = cov.mc_covariance(self.make_ensemble(16), dsp.BBM, 0.1, 0.0, 1e-2)

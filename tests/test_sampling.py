@@ -9,8 +9,7 @@ from wavecorr import sampling as smp
 
 
 class TestNoiseLaws:
-    @pytest.mark.parametrize("law", [smp.complex_gaussian(), smp.random_phase(),
-                                     smp.random_phase((0.5, 1.5))])
+    @pytest.mark.parametrize("law", [smp.complex_gaussian(), smp.random_phase()])
     def test_first_two_moments(self, law):
         g = smp.draw_noise(law, smp.sample_stream(99, 0), 200_000)
         m = g.size
@@ -21,9 +20,6 @@ class TestNoiseLaws:
     def test_kurtosis_values(self):
         assert smp.complex_gaussian().kurtosis == 2.0
         assert smp.random_phase().kurtosis == 1.0
-        law = smp.random_phase((1.0, 3.0))
-        g = smp.draw_noise(law, smp.sample_stream(1, 0), 400_000)
-        assert np.mean(np.abs(g) ** 4) == pytest.approx(law.kurtosis, rel=0.01)
 
     def test_rotational_invariance_of_phase_law(self):
         # multiplying by a fixed phase leaves the law unchanged; compare moments

@@ -150,15 +150,8 @@ def test_closed_form_b_against_loop(model, nmax):
 
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
-def test_kinetic_residual_and_max_delta_against_loop(model, nmax):
-    spec, loop = setup(model, nmax)
-    dim = model.dimension
-    active = [m for m in itertools.product(range(-nmax, nmax + 1), repeat=dim) if m[0]]
+def test_max_delta_against_loop(model, nmax):
+    _, loop = setup(model, nmax)
+    active = [m for m in itertools.product(range(-nmax, nmax + 1), repeat=model.dimension) if m[0]]
     sizes = [abs(loop.delta(n, k, l)) for n in active for k, l in triads(nmax, n)]
     assert dsp.max_abs_delta(model, nmax) == pytest.approx(max(sizes), rel=1e-15)
-    threshold = float(np.median(sizes))  # some triads inside, some outside
-    want = [sum(loop.bracket(n, k, l) for k, l in triads(nmax, n)
-                if abs(loop.delta(n, k, l)) <= threshold) for n in stored(model, nmax)]
-    got = cov.kinetic_residual(spec, model, threshold)
-    assert np.any(got != 0.0)
-    assert_close(got, np.array(want, dtype=float).reshape(got.shape))
