@@ -1,9 +1,7 @@
 """Spectral simulation and mode-covariance statistics for weakly nonlinear
 random dispersive waves (KdV, BBM, KP-I, KP-II) on the torus."""
 
-from .covariance import (
-    CovarianceReport, compare_prediction, g_rate, g_total, mc_covariance,
-)
+from .covariance import CovarianceReport, compare_prediction, g_table, mc_covariance
 from .dispersion import (
     BBM, KDV, KPI, KPII, MODELS, DispersionModel, delta, delta_exact,
     enumerate_triads, get_model, omega, omega_exact, phi,
@@ -12,7 +10,7 @@ from .field import (
     SpectralField, apply_semigroup, coefficient, field_from_modes, full_array,
     sobolev_norm,
 )
-from .kernels import f_kernel, sinc_kernel, tilde_f_kernel
+from .kernels import f_kernel, tilde_f_kernel
 from .picard import (
     decompose, first_iterate_closed_form, first_iterate_quadrature,
     remainder_growth_scan,

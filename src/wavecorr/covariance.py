@@ -1,16 +1,17 @@
 """Second-order covariance corrections and the coupled Monte Carlo estimator.
 
-The analytic side evaluates the correction G_n(lambda, t) whose rate is
+The analytic side evaluates the correction
 
-    dG_n/dt = 4 phi(n) sum_(k+l=n) sinc(delta, t) *
+    G_n(lambda, t) = 4 phi(n) sum_(k+l=n) tilde_F(delta, t) *
                  (phi(n)|l_k|^2|l_l|^2 - phi(k)|l_n|^2|l_l|^2 - phi(l)|l_n|^2|l_k|^2)
-            + (E|g|^4 - 2) * (2 [n=2q] sinc(d_q, t) phi(n)^2 |l_q|^4
-                              - 4 sinc(d_2n, t) phi(2n) phi(n) |l_n|^4)
+            + (E|g|^4 - 2) * (2 [n=2q] tilde_F(2 omega(q) - omega(n), t) phi(n)^2 |l_q|^4
+                              - 4 tilde_F(omega(2n) - 2 omega(n), t) phi(2n) phi(n) |l_n|^4)
 
-with the time-integrated form obtained by replacing the sinc kernel with
-its integral.  Sums run over triads inside the data truncation; when 2n
-falls outside, the truncated dynamics genuinely lack that interaction and
-the dropped term is flagged.
+with tilde_F(delta, t) = (1 - cos(delta t))/delta^2, so G_n vanishes at
+t = 0.  Sums run over triads inside the data truncation; when 2n falls
+outside, the truncated dynamics genuinely lack that interaction and the
+dropped term is flagged.  `g_table` sums G_n for every stored mode and
+`g_terms` returns the terms it sums.
 
 The Monte Carlo side estimates (E|u_n(eps;t)|^2 - |lambda_n|^2)/eps^2 with
 common-random-number coupling against the exact free evolution: since the
@@ -36,20 +37,15 @@ import numpy as np
 
 from . import dispersion
 from .field import SpectralField, full_array
-from .kernels import sinc_kernel, tilde_f_kernel
+from .kernels import tilde_f_kernel
 from .sampling import EnsembleConfig, sample_coeff_batch
 from .solver import evolve_array
 
 __all__ = [
-    "TruncationWarning", "TheoryWindowWarning", "TooFewSamplesError",
-    "g_rate", "g_total", "g_total_terms", "g_table",
+    "TheoryWindowWarning", "TooFewSamplesError", "g_table", "g_terms",
     "decay_envelope",
     "CovarianceReport", "mc_covariance", "ComparisonVerdict", "compare_prediction",
 ]
-
-
-class TruncationWarning(UserWarning):
-    """A kurtosis interaction partner (2n) falls outside the truncation."""
 
 
 class TheoryWindowWarning(UserWarning):
@@ -77,95 +73,71 @@ def _bracket(ph, lam2, n, k, l):
     return ph[n] * lam2[k] * lam2[l] - ph[k] * lam2[n] * lam2[l] - ph[l] * lam2[n] * lam2[k]
 
 
-def _g_parts(spectrum, kurtosis, model, t, kernel, modes):
-    """Pieces of G (or of its rate, by `kernel`) at the (M, dim) int `modes`.
+def _g_parts(spectrum, kurtosis, model, t):
+    """Pieces of G at the times `t` over the stored modes.
 
-    Returns (weight, correction, dropped): `weight(n, k, l)` gives the
-    per-triad main terms of a block of flat triad indices, `correction` the
-    kurtosis term with shape t.shape + (M,), and `dropped` marks the modes
-    whose doubled mode 2n falls outside the truncation while that term is
-    live.
+    Returns (modes, weight, correction, dropped): the (M, dim) int stored
+    modes, `weight(n, k, l)` the per-triad main terms of a block of flat
+    triad indices, `correction` the kurtosis term with shape t.shape + (M,),
+    and `dropped` the modes whose doubled mode 2n falls outside the
+    truncation while that term is live.
     """
     dim, nmax = spectrum.dimension, spectrum.nmax
     if model.dimension != dim:
         raise ValueError(f"spectrum dimension {dim} does not match model {model.kind}")
     om, ph, lam2 = _full_tables(spectrum, model)
+    modes = dispersion.stored_modes(dim, nmax)
     t = np.asarray(t, dtype=float)[..., None]
 
     def weight(n, k, l):
         delta = om[k] + om[l] - om[n]
-        return 4.0 * ph[n] * kernel(delta, t) * _bracket(ph, lam2, n, k, l)
+        return 4.0 * ph[n] * tilde_f_kernel(delta, t) * _bracket(ph, lam2, n, k, l)
 
     if kurtosis == 2.0:
-        return weight, np.zeros(t.shape[:-1] + (len(modes),)), np.zeros(len(modes), dtype=bool)
+        flags = np.zeros(len(modes), dtype=bool)
+        return modes, weight, np.zeros(t.shape[:-1] + flags.shape), flags
     n = dispersion.flat_index(dim, nmax, modes)
     even = np.all(modes % 2 == 0, axis=-1)
     q = dispersion.flat_index(dim, nmax, modes // 2)
     inside = np.all(np.abs(2 * modes) <= nmax, axis=-1)
     twice = dispersion.flat_index(dim, nmax, np.where(inside[:, None], 2 * modes, modes))
-    half_term = 2.0 * kernel(2.0 * om[q] - om[n], t) * ph[n] ** 2 * lam2[q] ** 2
-    twice_term = 4.0 * kernel(om[twice] - 2.0 * om[n], t) * ph[twice] * ph[n] * lam2[n] ** 2
+    half_term = 2.0 * tilde_f_kernel(2.0 * om[q] - om[n], t) * ph[n] ** 2 * lam2[q] ** 2
+    twice_term = (4.0 * tilde_f_kernel(om[twice] - 2.0 * om[n], t)
+                  * ph[twice] * ph[n] * lam2[n] ** 2)
     correction = np.where(even, half_term, 0.0) - np.where(inside, twice_term, 0.0)
-    return weight, correction * (kurtosis - 2.0), ~inside
-
-
-def _g_values(spectrum, kurtosis, model, t, kernel, modes):
-    """G (or its rate) at `modes`, shape t.shape + (M,), and the dropped mask."""
-    weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t, kernel, modes)
-    sums = dispersion.triad_sums(spectrum.dimension, spectrum.nmax, weight, modes)
-    return sums + correction, dropped
-
-
-def _single_mode(spectrum, n):
-    """One mode label as a (1, dim) int array, rejected outside the active truncation."""
-    nmax = spectrum.nmax
-    mode = np.array([dispersion.box_index(spectrum.dimension, nmax, n)]) - nmax
-    if mode[0, 0] == 0:
-        raise ValueError(f"mode {n!r} has zero first component (outside the active lattice)")
-    return mode
-
-
-def _g_eval(n, spectrum, kurtosis, model, t, kernel):
-    values, dropped = _g_values(spectrum, kurtosis, model, t, kernel, _single_mode(spectrum, n))
-    if dropped[0]:
-        warnings.warn(
-            f"mode {n!r}: doubled mode outside the truncation, kurtosis term dropped",
-            TruncationWarning, stacklevel=3)
-    return float(values[0])
-
-
-def g_rate(n, spectrum, kurtosis, model, t):
-    """dG_n/dt at time t (vanishes identically at t = 0)."""
-    return _g_eval(n, spectrum, kurtosis, model, t, sinc_kernel)
-
-
-def g_total(n, spectrum, kurtosis, model, t):
-    """G_n(lambda, t); the time integral of g_rate, zero at t = 0."""
-    return _g_eval(n, spectrum, kurtosis, model, t, tilde_f_kernel)
-
-
-def g_total_terms(n, spectrum, kurtosis, model, t):
-    """Per-triad contributions to G_n plus (kurtosis correction, dropped flag)."""
-    mode = _single_mode(spectrum, n)
-    weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t, tilde_f_kernel, mode)
-    flat = dispersion.flat_index(spectrum.dimension, spectrum.nmax, mode)
-    terms = [weight(*block) for block in
-             dispersion.triad_blocks(spectrum.dimension, spectrum.nmax, flat)]
-    return (np.concatenate(terms) if terms else np.empty(0)), float(correction[0]), bool(dropped[0])
+    return modes, weight, correction * (kurtosis - 2.0), ~inside
 
 
 def g_table(spectrum, kurtosis, model, t):
     """G over every stored mode; returns (values, list of flagged modes).
 
     `t` is a time or a 1-d array of times; values have shape
-    t.shape + stored_shape.
+    t.shape + stored_shape.  A mode is flagged when its kurtosis term needs
+    the doubled mode 2n and 2n falls outside the truncation.
     """
     dim, nmax = spectrum.dimension, spectrum.nmax
-    values, dropped = _g_values(spectrum, kurtosis, model, t, tilde_f_kernel,
-                                dispersion.stored_modes(dim, nmax))
+    modes, weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t)
+    values = dispersion.triad_sums(dim, nmax, weight, modes) + correction
     labels = dispersion.mode_list(dim, nmax)
     return (values.reshape(np.shape(t) + dispersion.stored_shape(dim, nmax)),
             [labels[m] for m in np.flatnonzero(dropped)])
+
+
+def g_terms(spectrum, kurtosis, model, t):
+    """The terms g_table sums; returns (owner, terms, correction).
+
+    `terms` holds the main term of every triad of every stored mode in
+    `triad_blocks` order, shape t.shape + (triads,); `owner` gives the
+    storage position of each triad's mode n, and `correction` each stored
+    mode's kurtosis term, shape t.shape + (M,).  Summing the terms per owner
+    and adding the correction gives g_table's values.
+    """
+    dim, nmax = spectrum.dimension, spectrum.nmax
+    modes, weight, correction, _ = _g_parts(spectrum, kurtosis, model, t)
+    flat = dispersion.flat_index(dim, nmax, modes)
+    empty = (np.empty(0, dtype=np.intp),) * 3
+    n, k, l = map(np.concatenate, zip(*dispersion.triad_blocks(dim, nmax, flat), empty))
+    return np.searchsorted(flat, n), weight(n, k, l), correction
 
 
 def _decay_exponent(model, s):

@@ -1,13 +1,12 @@
 """Triad interaction kernels built from the oscillatory integral F.
 
-F(delta, t) is the integral of exp(i*delta*tau) over [0, t].  Two real
-companions show up in the covariance bookkeeping:
+F(delta, t) is the integral of exp(i*delta*tau) over [0, t]; the first
+Picard iterate uses it.  The covariance correction G_n uses a real
+companion, the integral over [0, t] of Re(-F(delta, -tau)) = sin(delta tau)/delta:
 
-    sinc_kernel(delta, t)    = sin(delta t)/delta   = Re(-F(delta, -t))
     tilde_f_kernel(delta, t) = (1 - cos(delta t))/delta^2
-                             = integral of sinc_kernel over [0, t]
 
-All three switch to a 4-term Taylor series when |delta * t| < 1e-6, which
+Both switch to a 4-term Taylor series when |delta * t| < 1e-6, which
 keeps them total and continuous across the degenerate direction and avoids
 the cancellation in (exp(i delta t) - 1) and (1 - cos(delta t)).  The
 closed form is evaluated on every entry and the series on the degenerate
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["f_kernel", "sinc_kernel", "tilde_f_kernel", "DEGENERATE_PHASE"]
+__all__ = ["f_kernel", "tilde_f_kernel", "DEGENERATE_PHASE"]
 
 # |delta * t| below this uses the series branch.
 DEGENERATE_PHASE = 1e-6
@@ -54,15 +53,6 @@ def f_kernel(delta, t):
         return t * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
     return _branches(delta, t, exact, series)
-
-
-def sinc_kernel(delta, t):
-    """sin(delta t)/delta, exactly t on the degenerate branch."""
-    def series(x, t):
-        x2 = x * x
-        return t * (1.0 - x2 * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 / 5040.0)))
-
-    return _branches(delta, t, lambda x, d: np.sin(x) / d, series)
 
 
 def tilde_f_kernel(delta, t):

@@ -196,6 +196,23 @@ class TestPredict:
         lines = (tmp_path / "predictions.csv").read_text().strip().splitlines()
         assert all(float(r.split(",")[4]) == 0.0 for r in lines[1:])
 
+    @staticmethod
+    def bbm_rate(spec, n, taus):
+        """dG_n/dt at kurtosis 2, triad by triad: 4 phi(n) sin(delta tau)/delta times
+        the equilibrium bracket (BBM has no zero delta)."""
+        om = {m: dsp.omega(dsp.BBM, m) for m in range(-spec.nmax, spec.nmax + 1) if m}
+        ph = {m: dsp.phi(dsp.BBM, m) for m in om}
+        lam2 = {m: spec.lambda_sq[abs(m) - 1] for m in om}
+        rate = np.zeros_like(taus)
+        for k in om:
+            l = n - k
+            if l in om:  # active and inside the box
+                delta = om[k] + om[l] - om[n]
+                bracket = (ph[n] * lam2[k] * lam2[l] - ph[k] * lam2[n] * lam2[l]
+                           - ph[l] * lam2[n] * lam2[k])
+                rate += 4.0 * ph[n] * bracket * np.sin(delta * taus) / delta
+        return rate
+
     def test_generic_profile_matches_quadrature_oracle(self, tmp_path):
         # golden values regenerated live: Simpson integration of the rate
         assert run_cli(tmp_path, "predict", "--set", "grid.nmax=6",
@@ -211,7 +228,7 @@ class TestPredict:
         for row in lines[1:]:
             cells = row.split(",")
             n = int(cells[1])
-            rate = np.array([cov.g_rate(n, spec, 2.0, dsp.BBM, tau) for tau in taus])
+            rate = self.bbm_rate(spec, n, taus)
             assert float(cells[4]) == pytest.approx(float(np.sum(w * rate)), abs=1e-8)
 
     @pytest.mark.parametrize("law", ["random-phase", "complex-gaussian"])
@@ -280,18 +297,34 @@ class TestCovarianceCommand:
 
     def test_budget_counts_the_padded_grid(self, tmp_path):
         # 64 samples x 50 steps x 4 stages x N, with N = 20 points for nmax=6
-        # (3*nmax + 1 = 19 rounded up to 5-smooth), not 2*(2*nmax + 1) = 26
+        # (3*nmax + 1 = 19 rounded up to 5-smooth), not 2*(2*nmax + 1) = 26,
+        # plus 216 triad pairs (test_budget_counts_the_steps_the_solver_takes)
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=300000") == 0
         assert run_cli(tmp_path, *self.args, "--set", "run.budget=255999") == 64
         assert solver.padded_length(6) == 20
 
     def test_budget_counts_the_steps_the_solver_takes(self, tmp_path):
         # t=2.1, dt=0.3: 7 steps (2.1 / 0.3 rounds just above 7), so the work
-        # is 4 samples x 7 steps x 4 stages x 20 points = 2240
+        # is 4 samples x 7 steps x 4 stages x 20 points = 2240, plus
+        # (2 + 1 time) x 6 stored x 12 active = 216 triad pairs
         args = ("covariance", "--set", "grid.nmax=6", "--set", "run.samples=4",
                 "--set", "run.t=2.1", "--set", "run.dt=0.3", "--set", "run.epsilon=0.04")
-        assert run_cli(tmp_path, *args, "--set", "run.budget=2240") == 0
-        assert run_cli(tmp_path, *args, "--set", "run.budget=2239") == 64
+        assert run_cli(tmp_path, *args, "--set", "run.budget=2456") == 0
+        assert run_cli(tmp_path, *args, "--set", "run.budget=2455") == 64
+
+    @pytest.mark.parametrize("command", ["covariance", "picard-scan"])
+    def test_budget_counts_the_triad_work(self, tmp_path, capsys, command):
+        # KP-II nmax=300 to one step: 7.4e6 solve work, but (2 + 1) x 180,300
+        # stored x 360,600 active = 1.95e11 triad pairs for max |delta| and G_n or b
+        sets = ["model=kpii", "spectrum.alpha=3.5", "run.samples=2", "run.t=0.002",
+                "run.dt=0.002"]
+        args = [a for item in sets for a in ("--set", item)]
+        assert run_cli(tmp_path, command, *args, "--set", "grid.nmax=300") == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: estimated work 1.95e+11 exceeds")
+        assert not any(tmp_path.iterdir())
+        # nmax=96: 2.1e9 triad pairs stay inside the default budget of 2e10
+        cli.RunConfig.from_mapping(cli.load_config(None, sets + ["grid.nmax=96"])).check_work(2)
 
     def test_coarse_default_step_warns(self, tmp_path):
         # KdV nmax=16 at the default run.dt=2e-3: dt * max|delta| = 6.1 > 3
@@ -359,11 +392,12 @@ class TestOtherCommands:
         assert len(lines) == 3
 
     def test_picard_scan_budget(self, tmp_path, capsys):
-        # one solve to t=1 in 200 steps x 4 stages x 20 points = 16000
+        # one solve to t=1 in 200 steps x 4 stages x 20 points = 16000, plus
+        # (2 + 2 times) x 6 stored x 12 active = 288 triad pairs
         args = ("picard-scan", "--set", "run.t=[0.5,1.0]", "--set", "grid.nmax=6",
                 "--set", "run.dt=0.005")
-        assert run_cli(tmp_path, *args, "--set", "run.budget=16000") == 0
-        assert run_cli(tmp_path / "over", *args, "--set", "run.budget=15999") == 64
+        assert run_cli(tmp_path, *args, "--set", "run.budget=16288") == 0
+        assert run_cli(tmp_path / "over", *args, "--set", "run.budget=16287") == 64
         # BBM nmax=16 to t=1e6 at the default run.dt: 5e8 steps x 4 x 50 = 1e11
         assert run_cli(tmp_path / "long", "picard-scan", "--set", "run.t=1e6") == 64
         err = capsys.readouterr().err.splitlines()

@@ -13,44 +13,50 @@ import pytest
 from wavecorr import covariance as cov
 from wavecorr import dispersion as dsp
 from wavecorr import sampling as smp
+from wavecorr.kernels import f_kernel
 
 
 def sobolev(alpha, nmax, dim=1):
     return smp.build_spectrum("sobolev", alpha, nmax, dim)
 
 
+def g_rate(spectrum, model, t, monkeypatch):
+    """dG/dt over the stored modes: g_table with tilde_F swapped for its time
+    derivative sin(delta t)/delta = Re(-F(delta, -t)), as G is linear in the kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cov, "tilde_f_kernel", lambda delta, t: np.real(-f_kernel(delta, -t)))
+        return cov.g_table(spectrum, 2.0, model, t)[0]
+
+
 class TestGEvaluator:
-    def test_rate_and_total_vanish_at_time_zero(self):
+    def test_rate_and_total_vanish_at_time_zero(self, monkeypatch):
         spec = sobolev(3.0, 8)
-        for n in (1, 3, 8):
-            assert cov.g_rate(n, spec, 2.0, dsp.BBM, 0.0) == 0.0
-            assert cov.g_total(n, spec, 2.0, dsp.BBM, 0.0) == 0.0
+        values, _ = cov.g_table(spec, 2.0, dsp.BBM, 0.0)
+        assert np.all(values == 0.0)
+        assert np.all(g_rate(spec, dsp.BBM, 0.0, monkeypatch) == 0.0)
 
     def test_gibbs_spectrum_cancels_per_triad(self):
         spec = smp.build_spectrum("bbm-gibbs", None, 16, 1)
-        for t in (0.5, 2.0, 10.0):
-            for n in (1, 2, 7, 16):
-                terms, corr, _ = cov.g_total_terms(n, spec, 2.0, dsp.BBM, t)
-                assert np.max(np.abs(terms)) <= 1e-14
-                assert corr == 0.0
+        _, terms, corr = cov.g_terms(spec, 2.0, dsp.BBM, np.array([0.5, 2.0, 10.0]))
+        assert terms.shape[0] == 3 and np.max(np.abs(terms)) <= 1e-14
+        assert np.all(corr == 0.0)
 
     def test_constant_spectrum_cancels_for_kp(self):
         spec = smp.build_spectrum("constant", None, 5, 2)
         for model in (dsp.KPI, dsp.KPII):
-            for n in ((1, 0), (2, -3), (5, 5)):
-                assert cov.g_total(n, spec, 2.0, model, 3.0) == pytest.approx(0.0, abs=1e-14)
+            values, _ = cov.g_table(spec, 2.0, model, 3.0)
+            assert np.max(np.abs(values)) <= 1e-14
 
-    def test_derivative_matches_rate(self):
+    def test_derivative_matches_rate(self, monkeypatch):
         spec = sobolev(3.0, 8)
         h = 1e-5
-        for n in (1, 2, 5):
-            for t in (0.4, 1.9):
-                fd = (cov.g_total(n, spec, 2.0, dsp.BBM, t + h)
-                      - cov.g_total(n, spec, 2.0, dsp.BBM, t - h)) / (2 * h)
-                rate = cov.g_rate(n, spec, 2.0, dsp.BBM, t)
-                assert abs(fd - rate) / (1 + abs(rate)) < 1e-6
+        for t in (0.4, 1.9):
+            values, _ = cov.g_table(spec, 2.0, dsp.BBM, np.array([t + h, t - h]))
+            fd = (values[0] - values[1]) / (2 * h)
+            rate = g_rate(spec, dsp.BBM, t, monkeypatch)
+            assert np.max(np.abs(fd - rate) / (1 + np.abs(rate))) < 1e-6
 
-    def test_total_matches_simpson_of_rate(self):
+    def test_total_matches_simpson_of_rate(self, monkeypatch):
         spec = sobolev(3.0, 6)
         t, panels = 1.3, 600
         taus = np.linspace(0.0, t, 2 * panels + 1)
@@ -58,54 +64,20 @@ class TestGEvaluator:
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
         w *= (t / panels) / 6.0
-        for n in (1, 4):
-            rate = np.array([cov.g_rate(n, spec, 2.0, dsp.BBM, tau) for tau in taus])
-            assert np.sum(w * rate) == pytest.approx(
-                cov.g_total(n, spec, 2.0, dsp.BBM, t), abs=1e-8)
-
-    def test_symmetry_under_negation(self):
-        spec = sobolev(2.5, 8)
-        for n in (1, 3, 7):
-            a = cov.g_total(n, spec, 2.0, dsp.BBM, 2.0)
-            b = cov.g_total(-n, spec, 2.0, dsp.BBM, 2.0)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-18)
-        spec2 = sobolev(4.0, 5, dim=2)
-        a = cov.g_total((2, -3), spec2, 2.0, dsp.KPII, 1.0)
-        b = cov.g_total((-2, 3), spec2, 2.0, dsp.KPII, 1.0)
-        assert b == pytest.approx(a, rel=1e-12, abs=1e-18)
+        values, _ = cov.g_table(spec, 2.0, dsp.BBM, t)
+        assert w @ g_rate(spec, dsp.BBM, taus, monkeypatch) == pytest.approx(values, abs=1e-8)
 
     def test_kurtosis_term_changes_even_modes(self):
         spec = sobolev(3.0, 8)
-        base = cov.g_total(2, spec, 2.0, dsp.KDV, 1.0)
-        phase = cov.g_total(2, spec, 1.0, dsp.KDV, 1.0)
-        assert phase != pytest.approx(base, rel=1e-12)
+        base, _ = cov.g_table(spec, 2.0, dsp.KDV, 1.0)
+        phase, _ = cov.g_table(spec, 1.0, dsp.KDV, 1.0)
+        assert phase[1] != pytest.approx(base[1], rel=1e-12)  # mode 2
 
     def test_truncation_warning_for_doubled_mode(self):
+        # the modes behind predict's truncated-2n warning
         spec = sobolev(3.0, 4)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            cov.g_total(3, spec, 1.0, dsp.KDV, 1.0)
-        assert any(issubclass(r.category, cov.TruncationWarning) for r in rec)
-        _, flagged = cov.g_table(spec, 1.0, dsp.KDV, 1.0)
-        assert 3 in flagged and 1 not in flagged
-
-    def test_mode_outside_lattice_rejected(self):
-        spec = sobolev(3.0, 4)
-        with pytest.raises(ValueError):
-            cov.g_total(5, spec, 2.0, dsp.KDV, 1.0)
-        with pytest.raises(ValueError):
-            cov.g_total(0, spec, 2.0, dsp.KDV, 1.0)
-
-    def test_non_integral_mode_rejected(self):
-        spec, spec2 = sobolev(3.0, 4), sobolev(4.0, 3, dim=2)
-        for evaluate in (cov.g_total, cov.g_rate):
-            with pytest.raises(ValueError, match="integer lattice"):
-                evaluate(2.5, spec, 2.0, dsp.KDV, 1.0)
-            with pytest.raises(ValueError, match="integer lattice"):
-                evaluate((1, 0.5), spec2, 2.0, dsp.KPII, 1.0)
-        with pytest.raises(ValueError, match="integer lattice"):
-            cov.g_total_terms(1.5, spec, 2.0, dsp.KDV, 1.0)
-        assert cov.g_total(2.0, spec, 2.0, dsp.KDV, 1.0) == cov.g_total(2, spec, 2.0, dsp.KDV, 1.0)
+        assert cov.g_table(spec, 1.0, dsp.KDV, 1.0)[1] == [3, 4]
+        assert cov.g_table(spec, 2.0, dsp.KDV, 1.0)[1] == []
 
 
 class TestEnvelope:
@@ -323,12 +295,10 @@ class TestExactExpectationOracle:
 
     @pytest.mark.parametrize("kurtosis,expectation",
                              [(2.0, "_gauss_expectation"), (1.0, "_phase_expectation")])
-    # mode 2 doubles to 4, outside nmax=2: the two-mode dynamics lack that term too
-    @pytest.mark.filterwarnings("ignore::wavecorr.covariance.TruncationWarning")
     def test_g_formula_matches_exact_expectation(self, kurtosis, expectation):
+        # mode 2 doubles to 4, outside nmax=2: the two-mode dynamics lack that term too
         spec = smp.SpectrumProfile("custom-table", None, self.nmax, 1, self.lam)
-        g_pred = np.array([cov.g_total(n, spec, kurtosis, dsp.BBM, self.t)
-                           for n in (1, 2)])
+        g_pred, _ = cov.g_table(spec, kurtosis, dsp.BBM, self.t)
         fn = getattr(self, expectation)
         d1 = fn(0.1) / 0.1 ** 2
         d2 = fn(0.05) / 0.05 ** 2

@@ -36,6 +36,13 @@ class TestInvariants:
         with pytest.raises(ValueError, match="integer lattice"):
             fld.coefficient(f, mode)
 
+    def test_mode_outside_box_rejected(self):
+        f = fld.random_field(1, 4, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="outside the truncation nmax=4"):
+            fld.coefficient(f, 5)
+        with pytest.raises(ValueError, match="outside the truncation nmax=3"):
+            fld.field_from_modes(2, 3, {(1, -4): 1.0})
+
     def test_integral_float_labels_are_modes(self):
         f = fld.field_from_modes(2, 3, {(2.0, -1.0): 1.0 + 1.0j})
         assert fld.coefficient(f, (2, -1)) == fld.coefficient(f, (2.0, -1.0)) == 1.0 + 1.0j

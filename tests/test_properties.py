@@ -97,7 +97,7 @@ def test_kernels_continuous_across_degenerate_phase(t, negative_t, sign):
     below = sign * krn.DEGENERATE_PHASE * (1.0 - 1e-12) / abs(t)
     above = sign * krn.DEGENERATE_PHASE * (1.0 + 1e-12) / abs(t)
     assert abs(below * t) < krn.DEGENERATE_PHASE <= abs(above * t)
-    for kernel in (krn.f_kernel, krn.sinc_kernel, krn.tilde_f_kernel):
+    for kernel in (krn.f_kernel, krn.tilde_f_kernel):
         lo, hi = kernel(below, t), kernel(above, t)
         assert abs(lo - hi) <= 4e-15 * abs(hi), kernel.__name__
 

@@ -15,7 +15,7 @@ from wavecorr import dispersion as dsp
 from wavecorr import field as fld
 from wavecorr import picard as pic
 from wavecorr import sampling as smp
-from wavecorr.kernels import f_kernel, sinc_kernel, tilde_f_kernel
+from wavecorr.kernels import f_kernel, tilde_f_kernel
 
 CASES = [(dsp.KDV, 8), (dsp.BBM, 8), (dsp.KPII, 4), (dsp.KPI, 4)]
 IDS = [model.kind for model, _ in CASES]
@@ -77,19 +77,28 @@ class Loop:
                 - self.ph(k) * self.lam2(n) * self.lam2(l)
                 - self.ph(l) * self.lam2(n) * self.lam2(k))
 
-    def g(self, n, kurtosis, t, kernel):
-        total = 0.0
-        for k, l in triads(self.spec.nmax, n):
-            total += 4.0 * self.ph(n) * kernel(self.delta(n, k, l), t) * self.bracket(n, k, l)
+    def term(self, n, k, l, t):
+        """The main term of G_n from the triad (n, k, l)."""
+        return 4.0 * self.ph(n) * tilde_f_kernel(self.delta(n, k, l), t) * self.bracket(n, k, l)
+
+    def correction(self, n, kurtosis, t):
+        """The kurtosis term of G_n; zero when 2n leaves the box, as the truncation has it."""
         corr = 0.0
         if all(c % 2 == 0 for c in n):
             q = tuple(c // 2 for c in n)
-            corr += 2.0 * kernel(2.0 * self.om(q) - self.om(n), t) * self.ph(n) ** 2 * self.lam2(q) ** 2
+            corr += (2.0 * tilde_f_kernel(2.0 * self.om(q) - self.om(n), t)
+                     * self.ph(n) ** 2 * self.lam2(q) ** 2)
         twice = tuple(2 * c for c in n)
         if max(map(abs, twice)) <= self.spec.nmax:
-            corr -= (4.0 * kernel(self.om(twice) - 2.0 * self.om(n), t)
+            corr -= (4.0 * tilde_f_kernel(self.om(twice) - 2.0 * self.om(n), t)
                      * self.ph(twice) * self.ph(n) * self.lam2(n) ** 2)
-        return total + (kurtosis - 2.0) * corr
+        return (kurtosis - 2.0) * corr
+
+    def g(self, n, kurtosis, t):
+        total = 0.0
+        for k, l in triads(self.spec.nmax, n):
+            total += self.term(n, k, l, t)
+        return total + self.correction(n, kurtosis, t)
 
 
 def setup(model, nmax):
@@ -99,36 +108,35 @@ def setup(model, nmax):
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
 @pytest.mark.parametrize("kurtosis", [2.0, 1.0])
-# the loop drops the kurtosis term of modes whose 2n leaves the box as well
-@pytest.mark.filterwarnings("ignore::wavecorr.covariance.TruncationWarning")
 def test_g_against_loop(model, nmax, kurtosis):
     spec, loop = setup(model, nmax)
     modes = stored(model, nmax)
     times = np.array([0.4, 1.3])
-    want = np.array([[loop.g(n, kurtosis, t, tilde_f_kernel) for n in modes] for t in times])
+    want = np.array([[loop.g(n, kurtosis, t) for n in modes] for t in times])
     shape = dsp.stored_shape(model.dimension, nmax)
     table, _ = cov.g_table(spec, kurtosis, model, times[1])
     assert_close(table, want[1].reshape(shape))
     table, _ = cov.g_table(spec, kurtosis, model, times)
     assert_close(table, want.reshape((2,) + shape))
-    for kernel, single in ((tilde_f_kernel, cov.g_total), (sinc_kernel, cov.g_rate)):
-        got = [single(label(model, n), spec, kurtosis, model, times[1]) for n in modes]
-        assert_close(got, [loop.g(n, kurtosis, times[1], kernel) for n in modes])
-        # the other half-lattice: n -> -n
-        neg = [tuple(-c for c in n) for n in modes]
-        got = [single(label(model, n), spec, kurtosis, model, times[0]) for n in neg]
-        assert_close(got, [loop.g(n, kurtosis, times[0], kernel) for n in neg])
+    # G is even in n, so the stored half-lattice holds every value
+    neg = [loop.g(tuple(-c for c in n), kurtosis, times[0]) for n in modes]
+    assert_close(table[0], np.reshape(neg, shape))
 
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
 def test_g_terms_against_loop(model, nmax):
     spec, loop = setup(model, nmax)
-    n = stored(model, nmax)[1]
-    terms, corr, _ = cov.g_total_terms(label(model, n), spec, 2.0, model, 0.9)
-    want = [4.0 * loop.ph(n) * tilde_f_kernel(loop.delta(n, k, l), 0.9) * loop.bracket(n, k, l)
-            for k, l in triads(nmax, n)]
-    assert_close(np.sort(terms), np.sort(want))
-    assert corr == 0.0
+    modes = stored(model, nmax)
+    t = 0.9
+    triples = [(i, n, k, l) for i, n in enumerate(modes) for k, l in triads(nmax, n)]
+    for kurtosis in (2.0, 1.0):
+        owner, terms, corr = cov.g_terms(spec, kurtosis, model, t)
+        assert owner.tolist() == [i for i, *_ in triples]
+        assert_close(terms, [loop.term(n, k, l, t) for _, n, k, l in triples])
+        assert_close(corr, [loop.correction(n, kurtosis, t) for n in modes])
+        # per mode, the terms and the correction add up to g_table
+        table, _ = cov.g_table(spec, kurtosis, model, t)
+        assert_close(np.bincount(owner, terms, len(modes)) + corr, table.ravel())
 
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
