@@ -184,14 +184,15 @@ class RunConfig:
 
     def check_work(self, samples):
         """check_budget for `samples` solves to the last time, counted as samples x
-        steps x 4 stages x padded grid points, plus the (2 + times) x stored x active
-        triad pairs of max |delta| (active x active) and of G_n or b at each time."""
+        steps x 4 stages x padded grid points, plus (2 + times) x stored^2 unordered
+        triad pairs: about 2 stored^2 for max |delta| (active x active / 2) and
+        stored^2 (stored x active / 2) for G_n or b at each time."""
         try:
             steps = solver.step_count(max(self.times), self["run.dt"])
         except ValueError as exc:
             raise ConfigError(f"run.t and run.dt: {exc}")
         grid = solver.padded_length(self["grid.nmax"]) ** self.model.dimension
-        triads = (2 + len(self.times)) * self.stored_count * 2 * self.stored_count
+        triads = (2 + len(self.times)) * self.stored_count ** 2
         self.check_budget(samples * steps * 4 * grid + triads,
                           "samples x steps x stages x grid points + triad pairs")
 
@@ -321,9 +322,9 @@ def cmd_resonances(cfg, out):
 # ---------------------------------------------------------------------------
 
 def cmd_predict(cfg, out):
-    # each stored mode pairs with each of the twice as many active modes
-    cfg.check_budget(len(cfg.times) * cfg.stored_count * 2 * cfg.stored_count,
-                     "times x stored modes x active modes")
+    # each stored mode has about half as many unordered triads as active modes
+    cfg.check_budget(len(cfg.times) * cfg.stored_count ** 2,
+                     "times x stored modes x active modes / 2")
     spectrum = cfg.spectrum(gated=False)
     dim, nmax = spectrum.dimension, spectrum.nmax
     size = dispersion.mode_l1(dim, nmax).ravel()

@@ -126,8 +126,9 @@ def g_table(spectrum, kurtosis, model, t):
 def g_terms(spectrum, kurtosis, model, t):
     """The terms g_table sums; returns (owner, terms, correction).
 
-    `terms` holds the main term of every triad of every stored mode in
-    `triad_blocks` order, shape t.shape + (triads,); `owner` gives the
+    `terms` holds the main term of every unordered triad of every stored
+    mode in `triad_blocks` order, shape t.shape + (triads,), counted twice
+    where k != l (the term is symmetric in k and l); `owner` gives the
     storage position of each triad's mode n, and `correction` each stored
     mode's kurtosis term, shape t.shape + (M,).  Summing the terms per owner
     and adding the correction gives g_table's values.
@@ -137,7 +138,7 @@ def g_terms(spectrum, kurtosis, model, t):
     flat = dispersion.flat_index(dim, nmax, modes)
     empty = (np.empty(0, dtype=np.intp),) * 3
     n, k, l = map(np.concatenate, zip(*dispersion.triad_blocks(dim, nmax, flat), empty))
-    return np.searchsorted(flat, n), weight(n, k, l), correction
+    return np.searchsorted(flat, n), weight(n, k, l) * np.where(k == l, 1.0, 2.0), correction
 
 
 def _decay_exponent(model, s):

@@ -14,13 +14,15 @@ nmax + 1.. of the full box |n_j| <= nmax; every stored-half table here is
 that slice of its full-box table.  The mode size |n| is always the l1
 size sum_j |n_j|.
 
-A triad is an ordered pair (k, l) with k + l = n; its pulsation mismatch is
+A triad is a pair (k, l) with k + l = n; its pulsation mismatch is
 delta = omega(k) + omega(l) - omega(n), computed directly from omega.  The
 factored rational forms are provided separately as test oracles only.
 
-`triad_blocks` is the one triad enumeration.  It yields flat full-box
-indices, so a triad sum looks delta up from `omega_full(...).ravel()`,
-gathers its per-triad weight, and reduces per output mode (`triad_sums`).
+`triad_blocks` is the one triad enumeration.  It yields each unordered
+triad once (k <= l by flat full-box index), so a triad sum looks delta up
+from `omega_full(...).ravel()`, gathers its per-triad weight, counts the
+off-diagonal triads twice and reduces per output mode (`triad_sums`).
+`enumerate_triads` expands the blocks into the ordered catalog.
 """
 
 from __future__ import annotations
@@ -322,16 +324,18 @@ def phi_grid(model, nmax):
 # Triad enumeration.
 # ---------------------------------------------------------------------------
 
-# Candidate (n, k) pairs per block.  A triad sum's per-block arrays then stay
-# near 1 MB, complex weights and several times included, so it adds little to
-# a run's peak memory.  With the per-axis masks, sizes 1<<11 to 1<<15 ran the
-# KP-II nmax=32 stored-mode enumeration in 0.10-0.18 s and its 4-time g_table
-# in 1.0-1.5 s of CPU on a 2-core host, as spread as repeats of one size.
-_TRIAD_BLOCK = 1 << 13
+# Candidate (n, k) pairs per block, before the k <= l cut keeps about half.
+# A triad sum's per-block arrays then stay under 1 MB, complex weights and
+# several times included, so it adds little to a run's peak memory.  On a
+# 2-core shared host the KP-II nmax=32 4-time `predict` took a median 0.74 s
+# of CPU at 1<<13 (one output mode per block: per-block overhead dominates),
+# 0.53-0.59 s from 1<<14 to 1<<16 and 0.64 s at 1<<17.
+_TRIAD_BLOCK = 1 << 15
 
 
 def triad_blocks(dim, nmax, modes=None):
-    """Yield flat full-box index arrays (n, k, l) covering every triad k + l = n.
+    """Yield flat full-box index arrays (n, k, l) covering every unordered triad
+    k + l = n once, as the ordered triad with k <= l.
 
     `modes` holds the flat indices of the output modes n (any active mode,
     either half-lattice); by default every mode of the truncated active
@@ -357,6 +361,9 @@ def triad_blocks(dim, nmax, modes=None):
             if a == 0:
                 mask = (mask & (c != axis))[:, axis != 0]
             ok = (ok[:, :, None] & mask[:, None, :]).reshape(n.size, -1)
+        # k <= l means 2 k <= n + origin, a prefix of the ascending active k
+        ok &= np.arange(active.size) < np.searchsorted(active, (n + origin) // 2,
+                                                       side="right")[:, None]
         i, j = np.nonzero(ok)
         if i.size:
             n_i, k_j = n[i], active[j]
@@ -367,8 +374,9 @@ def triad_sums(dim, nmax, weight, modes):
     """Sum `weight(n, k, l)` over the triads of each of the (M, dim) int `modes`.
 
     `weight` maps the flat index arrays of one block to per-triad values with
-    the triad axis last.  Returns its leading axes plus one entry per mode,
-    zero where a mode has no triad.
+    the triad axis last; it must be symmetric in (k, l), since each unordered
+    triad is evaluated once and counted twice when k != l.  Returns its
+    leading axes plus one entry per mode, zero where a mode has no triad.
     """
     modes = flat_index(dim, nmax, modes)
     # an empty block fixes the shape and dtype of the result
@@ -377,24 +385,35 @@ def triad_sums(dim, nmax, weight, modes):
     out = np.zeros(probe.shape[:-1] + (np.prod(full_shape(dim, nmax)),), dtype=probe.dtype)
     for n, k, l in triad_blocks(dim, nmax, modes):
         starts = np.flatnonzero(np.diff(n, prepend=-1))
-        out[..., n[starts]] = np.add.reduceat(weight(n, k, l), starts, axis=-1)
+        terms = weight(n, k, l) * np.where(k == l, 1.0, 2.0)
+        out[..., n[starts]] = np.add.reduceat(terms, starts, axis=-1)
     return out[..., modes]
 
 
 def enumerate_triads(dim, nmax):
-    """Every triad as flat full-box index arrays (n, k, l) in `triad_blocks`' order;
-    `full_modes(dim, nmax)[n]` gives the modes.  They are int32: freed blocks
-    leave heap holes that later arrays may not reuse, so their size bounds how
-    far a caller's peak memory moves with the allocator's state."""
-    blocks = ([tuple(a.astype(np.int32) for a in block) for block in triad_blocks(dim, nmax)]
-              or [(np.empty(0, dtype=np.int32),) * 3])
+    """Every ordered triad as flat full-box index arrays (n, k, l), grouped by n
+    ascending, k ascending within a group; `full_modes(dim, nmax)[n]` gives the
+    modes.  Each block of `triad_blocks` gains the mirrors (n, l, k) of its
+    k < l triads.  They are int32: freed blocks leave heap holes that later
+    arrays may not reuse, so their size bounds how far a caller's peak memory
+    moves with the allocator's state."""
+    blocks = []
+    for block in triad_blocks(dim, nmax):
+        n, k, l = (a.astype(np.int32) for a in block)
+        # reversed, the mirrors of a group have k ascending above its own k
+        off = k < l
+        n, k, l = (np.concatenate([a, b[off][::-1]]) for a, b in ((n, n), (k, l), (l, k)))
+        order = np.argsort(n, kind="stable")
+        blocks.append((n[order], k[order], l[order]))
+    blocks = blocks or [(np.empty(0, dtype=np.int32),) * 3]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 @lru_cache(maxsize=None)
 def max_abs_delta(model, nmax):
     """Largest |delta| over all triads of the truncation, the fastest phase
-    e^(i delta t): it bounds dt and sets the quadrature resolution (cached)."""
+    e^(i delta t): it bounds dt and sets the quadrature resolution (cached).
+    |delta| is symmetric in (k, l), so the unordered triads suffice."""
     om = omega_full(model, nmax).ravel()
     worst = 0.0
     for n, k, l in triad_blocks(model.dimension, nmax):

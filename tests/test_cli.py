@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file outputs, determinism, self-test."""
 
+import hashlib
 import json
 import multiprocessing
 import subprocess
@@ -137,6 +138,14 @@ class TestResonances:
 
     def test_budget_guard(self, tmp_path):
         assert run_cli(tmp_path, "resonances", "--set", "grid.nmax=40") == 64
+
+    def test_kpi_catalog_bytes_at_benchmark_size(self, tmp_path):
+        # 588,240 rows from many multi-mode blocks, each expanded by the
+        # mirrors of its k < l triads
+        assert run_cli(tmp_path, "resonances", "--set", "model=kpi",
+                       "--set", "grid.nmax=16") == 0
+        digest = hashlib.sha256((tmp_path / "resonances.csv").read_bytes()).hexdigest()
+        assert digest == "35abccb6af82b992b59267ddd88b0d255cb042eaa57779108a79a144a61c1b9f"
 
     @pytest.mark.parametrize("model,nmax", [("kdv", 12), ("bbm", 12), ("kpi", 6), ("kpii", 6),
                                             ("kdv", 1)])
@@ -298,32 +307,33 @@ class TestCovarianceCommand:
     def test_budget_counts_the_padded_grid(self, tmp_path):
         # 64 samples x 50 steps x 4 stages x N, with N = 20 points for nmax=6
         # (3*nmax + 1 = 19 rounded up to 5-smooth), not 2*(2*nmax + 1) = 26,
-        # plus 216 triad pairs (test_budget_counts_the_steps_the_solver_takes)
-        assert run_cli(tmp_path, *self.args, "--set", "run.budget=300000") == 0
-        assert run_cli(tmp_path, *self.args, "--set", "run.budget=255999") == 64
+        # plus 108 triad pairs (test_budget_counts_the_steps_the_solver_takes)
+        assert run_cli(tmp_path, *self.args, "--set", "run.budget=256108") == 0
+        assert run_cli(tmp_path, *self.args, "--set", "run.budget=256107") == 64
         assert solver.padded_length(6) == 20
 
     def test_budget_counts_the_steps_the_solver_takes(self, tmp_path):
         # t=2.1, dt=0.3: 7 steps (2.1 / 0.3 rounds just above 7), so the work
         # is 4 samples x 7 steps x 4 stages x 20 points = 2240, plus
-        # (2 + 1 time) x 6 stored x 12 active = 216 triad pairs
+        # (2 + 1 time) x 6 stored x 12 active / 2 = 108 unordered triad pairs
         args = ("covariance", "--set", "grid.nmax=6", "--set", "run.samples=4",
                 "--set", "run.t=2.1", "--set", "run.dt=0.3", "--set", "run.epsilon=0.04")
-        assert run_cli(tmp_path, *args, "--set", "run.budget=2456") == 0
-        assert run_cli(tmp_path, *args, "--set", "run.budget=2455") == 64
+        assert run_cli(tmp_path, *args, "--set", "run.budget=2348") == 0
+        assert run_cli(tmp_path, *args, "--set", "run.budget=2347") == 64
 
     @pytest.mark.parametrize("command", ["covariance", "picard-scan"])
     def test_budget_counts_the_triad_work(self, tmp_path, capsys, command):
         # KP-II nmax=300 to one step: 7.4e6 solve work, but (2 + 1) x 180,300
-        # stored x 360,600 active = 1.95e11 triad pairs for max |delta| and G_n or b
+        # stored x 360,600 active / 2 = 9.75e10 unordered triad pairs for
+        # max |delta| and G_n or b
         sets = ["model=kpii", "spectrum.alpha=3.5", "run.samples=2", "run.t=0.002",
                 "run.dt=0.002"]
         args = [a for item in sets for a in ("--set", item)]
         assert run_cli(tmp_path, command, *args, "--set", "grid.nmax=300") == 64
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("config error: estimated work 1.95e+11 exceeds")
+        assert line.startswith("config error: estimated work 9.75e+10 exceeds")
         assert not any(tmp_path.iterdir())
-        # nmax=96: 2.1e9 triad pairs stay inside the default budget of 2e10
+        # nmax=96: 1.0e9 triad pairs stay inside the default budget of 2e10
         cli.RunConfig.from_mapping(cli.load_config(None, sets + ["grid.nmax=96"])).check_work(2)
 
     def test_coarse_default_step_warns(self, tmp_path):
@@ -393,11 +403,11 @@ class TestOtherCommands:
 
     def test_picard_scan_budget(self, tmp_path, capsys):
         # one solve to t=1 in 200 steps x 4 stages x 20 points = 16000, plus
-        # (2 + 2 times) x 6 stored x 12 active = 288 triad pairs
+        # (2 + 2 times) x 6 stored x 12 active / 2 = 144 unordered triad pairs
         args = ("picard-scan", "--set", "run.t=[0.5,1.0]", "--set", "grid.nmax=6",
                 "--set", "run.dt=0.005")
-        assert run_cli(tmp_path, *args, "--set", "run.budget=16288") == 0
-        assert run_cli(tmp_path / "over", *args, "--set", "run.budget=16287") == 64
+        assert run_cli(tmp_path, *args, "--set", "run.budget=16144") == 0
+        assert run_cli(tmp_path / "over", *args, "--set", "run.budget=16143") == 64
         # BBM nmax=16 to t=1e6 at the default run.dt: 5e8 steps x 4 x 50 = 1e11
         assert run_cli(tmp_path / "long", "picard-scan", "--set", "run.t=1e6") == 64
         err = capsys.readouterr().err.splitlines()
@@ -451,10 +461,10 @@ class TestOtherCommands:
         assert not any(tmp_path.iterdir())
 
     def test_predict_and_diagnostics_budgets(self, tmp_path):
-        # BBM nmax=6: 6 stored modes x 12 active modes per time
+        # BBM nmax=6: 6 stored modes x 12 active modes / 2 per time
         args = ("predict", "--set", "grid.nmax=6", "--set", "run.t=[0.5,1.0]")
-        assert run_cli(tmp_path / "a", *args, "--set", "run.budget=144") == 0
-        assert run_cli(tmp_path / "b", *args, "--set", "run.budget=143") == 64
+        assert run_cli(tmp_path / "a", *args, "--set", "run.budget=72") == 0
+        assert run_cli(tmp_path / "b", *args, "--set", "run.budget=71") == 64
         # 100,000 draws x 6 stored modes
         args = ("sample-diagnostics", "--set", "grid.nmax=6")
         assert run_cli(tmp_path / "c", *args, "--set", "run.budget=600000") == 0

@@ -185,7 +185,8 @@ class TestLattice:
     def test_triad_blocks_order_and_block_rule(self, monkeypatch, block):
         # triad_sums reduces each block per n-group with reduceat, so the blocks
         # must hold whole n-groups in the order of `modes`, k ascending within
-        # a group, `per_block` consecutive output modes per block
+        # a group, `per_block` consecutive output modes per block; each group
+        # holds the triads with k <= l by flat index, each unordered triad once
         if block:
             monkeypatch.setattr(dsp, "_TRIAD_BLOCK", block)
         for dim, nmax in ((1, 1), (1, 4), (1, 9), (2, 1), (2, 3), (2, 5)):
@@ -197,12 +198,14 @@ class TestLattice:
             subsets = [None, upper, np.concatenate([upper[::-1][:3], lower[:3]]),
                        rng.permutation(active)[:max(1, active.size // 3)]]
             box = full.tolist()
+            where = {tuple(m): i for i, m in enumerate(box)}
             for modes in subsets:
                 groups = []
                 for n in (active if modes is None else modes).tolist():
                     l_modes = [[a - b for a, b in zip(box[n], box[k])] for k in active.tolist()]
                     groups.append([(n, k) for k, l in zip(active.tolist(), l_modes)
-                                   if l[0] and max(map(abs, l)) <= nmax])
+                                   if l[0] and max(map(abs, l)) <= nmax
+                                   and k <= where[tuple(l)]])
                 want = [sum(groups[s:s + per_block], []) for s in range(0, len(groups), per_block)]
                 want = [rows for rows in want if rows]
                 blocks = list(dsp.triad_blocks(dim, nmax, modes))
@@ -210,26 +213,34 @@ class TestLattice:
                 for (n, k, l), rows in zip(blocks, want):
                     assert list(zip(n.tolist(), k.tolist())) == rows
                     assert np.all(full[k] + full[l] == full[n])
+                    assert np.all(k <= l)
                     same_n = n[1:] == n[:-1]
                     assert np.all(k[1:][same_n] > k[:-1][same_n])
 
-    def test_triad_enumeration_is_exhaustive(self):
-        for dim, nmax in ((1, 1), (1, 3), (1, 7), (2, 1), (2, 2), (2, 4)):
+    def test_triad_enumeration_is_exhaustive(self, monkeypatch):
+        # the ordered catalog expands the k <= l blocks by their mirrors; the
+        # small block checks that expansion across many multi-mode blocks
+        cases = ((1, 1), (1, 3), (1, 7), (2, 1), (2, 2), (2, 4))
+        for block, (dim, nmax) in itertools.product((dsp._TRIAD_BLOCK, 40), cases):
+            monkeypatch.setattr(dsp, "_TRIAD_BLOCK", block)
             n, k, l = triad_modes(dim, nmax)
             seen = [tuple(a) + tuple(b) + tuple(c) for a, b, c in zip(n, k, l)]
             box = list(itertools.product(range(-nmax, nmax + 1), repeat=dim))
-            brute = set()
+            brute = []
             for a in box:
                 for b in box:
                     c = tuple(x - y for x, y in zip(a, b))
                     if a[0] and b[0] and c[0] and max(map(abs, c)) <= nmax:
-                        brute.add(a + b + c)
-            assert len(seen) == len(set(seen)) and set(seen) == brute
+                        brute.append(a + b + c)
+            # `box` is in flat-index order, so the brute list is sorted by (n, k)
+            assert seen == brute
             assert np.all(k + l == n)
-        # a chosen output mode, here on the n1 < 0 half, gets exactly its triads
+        # a chosen output mode, here on the n1 < 0 half, gets exactly its
+        # k <= l triads (box tuples order as their flat indices), k ascending
         full = dsp.full_modes(2, 4)
         target = dsp.flat_index(2, 4, np.array([-2, 1]))
         blocks = list(dsp.triad_blocks(2, 4, [target]))
         n, k, l = (np.concatenate(part) for part in zip(*blocks))
         assert np.all(n == target) and np.all(full[k] + full[l] == full[n])
-        assert len(n) == sum(1 for row in set(seen) if row[:2] == (-2, 1))
+        want = [row[2:] for row in brute if row[:2] == (-2, 1) and row[2:4] <= row[4:]]
+        assert [tuple(a) + tuple(b) for a, b in zip(full[k], full[l])] == want

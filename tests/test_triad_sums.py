@@ -123,16 +123,44 @@ def test_g_against_loop(model, nmax, kurtosis):
     assert_close(table[0], np.reshape(neg, shape))
 
 
+@pytest.mark.parametrize("dim,nmax", [(1, 6), (2, 3)])
+def test_triad_sums_of_symmetric_weight_against_ordered_loop(dim, nmax):
+    # each unordered triad is evaluated once and counted twice off the
+    # diagonal k == l, which even n have; the loop sums every ordered triad
+    box = list(itertools.product(range(-nmax, nmax + 1), repeat=dim))
+    where = {m: i for i, m in enumerate(box)}
+    rng = np.random.default_rng(dim)
+    size = (2,) + (len(box),) * 3
+    table = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    table = table + table.transpose(0, 1, 3, 2)
+    modes = [m for m in box if m[0]]
+    want = np.zeros((2, len(modes)), dtype=complex)
+    diagonal = 0
+    for i, n in enumerate(modes):
+        for k, l in triads(nmax, n):
+            want[:, i] += table[:, where[n], where[k], where[l]]
+            diagonal += k == l
+    assert diagonal > 0
+
+    def weight(n, k, l):
+        return table[:, n, k, l]
+
+    assert_close(dsp.triad_sums(dim, nmax, weight, np.array(modes)), want)
+
+
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
 def test_g_terms_against_loop(model, nmax):
     spec, loop = setup(model, nmax)
     modes = stored(model, nmax)
     t = 0.9
-    triples = [(i, n, k, l) for i, n in enumerate(modes) for k, l in triads(nmax, n)]
+    # one term per unordered triad, k <= l (tuples order as flat indices), in
+    # triad_blocks order, twice the ordered term off the diagonal
+    triples = [(i, n, k, l) for i, n in enumerate(modes) for k, l in triads(nmax, n) if k <= l]
     for kurtosis in (2.0, 1.0):
         owner, terms, corr = cov.g_terms(spec, kurtosis, model, t)
         assert owner.tolist() == [i for i, *_ in triples]
-        assert_close(terms, [loop.term(n, k, l, t) for _, n, k, l in triples])
+        assert_close(terms, [(1 if k == l else 2) * loop.term(n, k, l, t)
+                             for _, n, k, l in triples])
         assert_close(corr, [loop.correction(n, kurtosis, t) for n in modes])
         # per mode, the terms and the correction add up to g_table
         table, _ = cov.g_table(spec, kurtosis, model, t)
