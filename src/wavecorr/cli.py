@@ -185,8 +185,7 @@ class RunConfig:
     def check_work(self, samples):
         """check_budget for `samples` solves to the last time, counted as samples x
         steps x 4 stages x padded grid points, plus (2 + times) x stored^2 unordered
-        triad pairs: about 2 stored^2 for max |delta| (active x active / 2) and
-        stored^2 (stored x active / 2) for G_n or b at each time."""
+        triad pairs: about 2 stored^2 for max |delta|, stored^2 for G_n or b per time."""
         try:
             steps = solver.step_count(max(self.times), self["run.dt"])
         except ValueError as exc:

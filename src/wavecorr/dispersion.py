@@ -391,22 +391,23 @@ def triad_sums(dim, nmax, weight, modes):
 
 
 def enumerate_triads(dim, nmax):
-    """Every ordered triad as flat full-box index arrays (n, k, l), grouped by n
-    ascending, k ascending within a group; `full_modes(dim, nmax)[n]` gives the
-    modes.  Each block of `triad_blocks` gains the mirrors (n, l, k) of its
-    k < l triads.  They are int32: freed blocks leave heap holes that later
-    arrays may not reuse, so their size bounds how far a caller's peak memory
-    moves with the allocator's state."""
-    blocks = []
-    for block in triad_blocks(dim, nmax):
-        n, k, l = (a.astype(np.int32) for a in block)
+    """Every ordered triad as flat full-box int32 index arrays (n, k, l), n
+    ascending and k ascending within each n; `full_modes(dim, nmax)[n]` gives
+    the modes.  Each block of `triad_blocks` gains the mirrors (n, l, k) of its
+    k < l triads and goes into one preallocated catalog, since freed per-block
+    arrays leave heap holes that move a caller's peak memory."""
+    blocks = [tuple(a.astype(np.int32) for a in block) for block in triad_blocks(dim, nmax)]
+    out = np.empty((3, sum(2 * k.size - np.count_nonzero(k == l) for _, k, l in blocks)),
+                   dtype=np.int32)
+    at = 0
+    for n, k, l in blocks:
         # reversed, the mirrors of a group have k ascending above its own k
         off = k < l
         n, k, l = (np.concatenate([a, b[off][::-1]]) for a, b in ((n, n), (k, l), (l, k)))
         order = np.argsort(n, kind="stable")
-        blocks.append((n[order], k[order], l[order]))
-    blocks = blocks or [(np.empty(0, dtype=np.int32),) * 3]
-    return tuple(np.concatenate(part) for part in zip(*blocks))
+        out[:, at:at + n.size] = n[order], k[order], l[order]
+        at += n.size
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
