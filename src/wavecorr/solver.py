@@ -7,9 +7,11 @@ variable v(t) = S(-t)u(t), which obeys
 
 The stiff linear part is handled exactly through the semigroup phases, so
 the classical RK4 step sees only the slow nonlinear dynamics and there is
-no CFL constraint from the dispersion.  Quadratic products are always
-formed on a zero-padded grid of the smallest 5-smooth length N >= 3*nmax + 1
-per axis (the 3/2 rule), which makes the retained convolution exact
+no CFL constraint from the dispersion.  The phases come from one exponential
+per segment of equal steps and the per-step recurrence e(t + h) = e(t) e(h),
+which moves results by rounding only.  Quadratic products are always formed
+on a zero-padded grid of the smallest 5-smooth length N >= 3*nmax + 1 per
+axis (the 3/2 rule), which makes the retained convolution exact
 (alias-free); accuracy of the nonlinear phases still requires
 dt * max|delta| of order one, which is surfaced as a warning, not enforced.
 
@@ -76,25 +78,26 @@ class _Transform:
     def __init__(self, dim, nmax):
         self.dim, self.nmax = dim, nmax
         self.n_grid = padded_length(nmax)
-        if dim == 2:
-            self.rows = (np.arange(-nmax, nmax + 1) % self.n_grid)[None, :]
-            self.cols = np.arange(1, nmax + 1)[:, None]
 
     def square(self, coeffs):
         """Fourier coefficients of the pointwise square, on the stored lattice."""
-        lead, n = coeffs.shape[:-self.dim], self.n_grid
+        lead, n, m = coeffs.shape[:-self.dim], self.n_grid, self.nmax
         if self.dim == 1:
-            half = np.zeros(lead + (self.nmax + 1,), dtype=complex)
+            half = np.zeros(lead + (m + 1,), dtype=complex)
             half[..., 1:] = coeffs
             phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
             phys *= phys
-            return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:self.nmax + 1]
-        half = np.zeros(lead + (n, self.nmax + 1), dtype=complex)
-        half[..., self.rows, self.cols] = coeffs
+            return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
+        # stored [n1 - 1, n2 + m] is grid [n2 mod n, n1]: two slices per swapped grid
+        half = np.zeros(lead + (n, m + 1), dtype=complex)
+        grid = half.swapaxes(-1, -2)[..., 1:, :]
+        grid[..., :m + 1], grid[..., n - m:] = coeffs[..., m:], coeffs[..., :m]
         phys = np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
         phys *= phys
-        spec = np.fft.rfft(phys, axis=-1, norm="forward")[..., :self.nmax + 1]
-        return np.fft.fft(spec, axis=-2, norm="forward")[..., self.rows, self.cols]
+        spec = np.fft.rfft(phys, axis=-1, norm="forward")[..., :m + 1]
+        grid = np.fft.fft(spec, axis=-2, norm="forward").swapaxes(-1, -2)[..., 1:, :]
+        out = np.empty(coeffs.shape, dtype=complex)
+        return np.concatenate((grid[..., n - m:], grid[..., :m + 1]), axis=-1, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -111,24 +114,32 @@ def interaction_rhs(model, nmax):
 
     `v` carries leading batch axes over the stored lattice; `t` is a scalar
     or an array that broadcasts against `v` (one time per batch row).  The
-    transform and the multipliers are built once here, not per call.
+    stepper passes `phase=(exp(i omega t), -eps i phi exp(-i omega t))` instead.
     """
     tr = _transform(model.dimension, nmax)
-    om, ph = dispersion.omega_grid(model, nmax), dispersion.phi_grid(model, nmax)
+    i_om, i_ph = 1j * dispersion.omega_grid(model, nmax), 1j * dispersion.phi_grid(model, nmax)
 
-    def rhs(eps, t, v):
-        e = np.exp(1j * om * t)
-        sq = tr.square(v * e)
-        return (-eps) * (1j * ph) * np.conj(e) * sq
+    def rhs(eps, t, v, phase=None):
+        if phase is None:
+            e = np.exp(i_om * t)
+            phase = e, (-eps) * i_ph * np.conj(e)
+        return phase[1] * tr.square(v * phase[0])
     return rhs
 
 
-def _rk4_step(rhs, eps, t, h, v):
-    k1 = rhs(eps, t, v)
-    k2 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k1)
-    k3 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k2)
-    k4 = rhs(eps, t + h, v + h * k3)
-    return v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_step(rhs, eps, t, h, v, phases):
+    """v + (h/6) (k1 + 2 (k2 + k3) + k4) in place, from rhs's phases at t, t + h/2, t + h."""
+    k1 = rhs(eps, t, v, phases[0])
+    k2 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k1, phases[1])
+    k3 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k2, phases[1])
+    k4 = rhs(eps, t + h, v + h * k3, phases[2])
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += v
+    return k2
 
 
 def step_count(span, dt):
@@ -159,8 +170,7 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
         raise ValueError(f"t_final={t_final} precedes t_start={t_start}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a positive finite number, got {dt}")
-    dim = model.dimension
-    shape = np.shape(coeffs)
+    dim, shape = model.dimension, np.shape(coeffs)
     nmax = shape[-dim] if len(shape) >= dim else 0
     if len(shape) < dim or shape[-dim:] != dispersion.stored_shape(dim, nmax):
         raise ValueError(f"coefficient shape {shape} does not end in a stored "
@@ -177,39 +187,39 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
             "expect degraded accuracy on the highest modes",
             StepAccuracyWarning, stacklevel=2)
     rhs = interaction_rhs(model, nmax)
+    i_om = 1j * dispersion.omega_grid(model, nmax)
+    neg = (-eps) * (1j * dispersion.phi_grid(model, nmax))
 
-    lead = shape[:-dim]
     v = np.array(coeffs, dtype=complex)
-    alive = np.ones(lead, dtype=bool)
-    blow_time = np.full(lead, np.nan)
+    alive = np.ones(shape[:-dim], dtype=bool)
+    blow_time = np.full(alive.shape, np.nan)
 
-    spectral_axes = tuple(range(-dim, 0))
-    snaps = []
     targets = [s for s in snap_set if s > t_start + 1e-12]
     if not targets or targets[-1] < t_final - 1e-12:
         targets = targets + [t_final]
-    if snap_set and abs(snap_set[0] - t_start) <= 1e-12:
-        snaps.append((t_start, v.copy()))
+    snaps = [(t_start, v.copy())] if snap_set and abs(snap_set[0] - t_start) <= 1e-12 else []
 
     t_seg = t_start
     # overflow to non-finite values is detected explicitly after each step
     with np.errstate(invalid="ignore", over="ignore"):
         for target in targets:
-            span = target - t_seg
-            nsteps = step_count(span, dt)
+            nsteps = step_count(target - t_seg, dt)
             if not nsteps:
                 continue
-            h = span / nsteps
+            h = (target - t_seg) / nsteps
+            # three exps per segment; each step's end phase starts the next step
+            half, full = np.exp(i_om * (0.5 * h)), np.exp(i_om * h)
+            e1 = np.exp(i_om * t_seg)
             for i in range(nsteps):
-                t_now = t_seg + i * h
-                v = _rk4_step(rhs, eps, t_now, h, v)
-                finite = np.isfinite(v).all(axis=spectral_axes)
-                if not finite.all():
-                    newly = alive & ~finite
-                    if newly.any():
-                        blow_time = np.where(newly, t_now + h, blow_time)
-                        alive = alive & finite
-                        v = np.where(finite[(...,) + (None,) * dim], v, 0.0)
+                t_now, e0 = t_seg + i * h, e1
+                e1 = e0 * full
+                phases = [(e, neg * np.conj(e)) for e in (e0, e0 * half, e1)]
+                v = _rk4_step(rhs, eps, t_now, h, v, phases)
+                finite = np.isfinite(v).all(axis=tuple(range(-dim, 0)))
+                if not finite.all():  # a dead row is zero, so stays finite
+                    blow_time = np.where(finite, blow_time, t_now + h)
+                    alive = alive & finite
+                    v = np.where(finite[(...,) + (None,) * dim], v, 0.0)
             t_seg = target
             if any(abs(target - s) <= 1e-12 for s in snap_set):
                 snaps.append((target, v.copy()))

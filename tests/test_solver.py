@@ -73,6 +73,29 @@ class TestDealiasedSquare:
         exact = slv.dealiased_square(f)
         assert fld.coefficient(exact, 2) == pytest.approx(0.0, abs=1e-14)
 
+    # nmax=1 pads to 4 points, so the n2 >= 0 rows {0, 1} and the n2 < 0 row
+    # {3} of the grid leave a single zero row between them
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+    def test_2d_batch_rows_bitwise_and_contiguous(self, nmax):
+        batch = np.stack([steep_field(2, nmax, seed=30 + s, rate=0.3).coeffs
+                          for s in range(6)]).reshape((2, 3) + dsp.stored_shape(2, nmax))
+        tr = slv._transform(2, nmax)
+        out = tr.square(batch)
+        assert out.shape == batch.shape and out.flags.c_contiguous
+        # the scatter and gather as fancy indices over (n2 mod N, n1)
+        n = tr.n_grid
+        rows = (np.arange(-nmax, nmax + 1) % n)[None, :]
+        cols = np.arange(1, nmax + 1)[:, None]
+        for i, j in itertools.product(range(2), range(3)):
+            alone = slv.dealiased_square(fld.SpectralField(nmax, batch[i, j]))
+            assert alone.coeffs.flags.c_contiguous
+            assert np.array_equal(out[i, j], alone.coeffs)
+            half = np.zeros((n, nmax + 1), dtype=complex)
+            half[rows, cols] = batch[i, j]
+            phys = np.fft.irfft2(half, s=(n, n), norm="forward")
+            spec = np.fft.rfft(phys * phys, axis=-1, norm="forward")[..., :nmax + 1]
+            assert np.array_equal(out[i, j], np.fft.fft(spec, axis=-2, norm="forward")[rows, cols])
+
 
 class TestNonlinearRhs:
     def test_zero_epsilon(self):
@@ -85,6 +108,19 @@ class TestNonlinearRhs:
         got = slv.interaction_rhs(dsp.KPII, 3)(0.25, 0.0, f.coeffs)
         ref = 1j * dsp.phi_grid(dsp.KPII, 3) * slv.dealiased_square(f).coeffs
         assert np.max(np.abs(got + 0.25 * ref)) < 1e-14
+
+    @pytest.mark.parametrize("model", [dsp.KDV, dsp.KPI], ids=["kdv", "kpi"])
+    def test_time_per_row_matches_scalar_calls(self, model):
+        # picard's Simpson quadrature passes one time per batch row
+        dim = model.dimension
+        nm = 5 if dim == 1 else 3
+        rhs = slv.interaction_rhs(model, nm)
+        v = np.stack([steep_field(dim, nm, seed=40 + s, rate=0.3).coeffs for s in range(4)])
+        t = np.array([0.0, 0.15, 0.7, 2.5]).reshape((-1,) + (1,) * dim)
+        rows, shared = rhs(0.3, t, v), rhs(0.3, t, v[1])
+        for r in range(4):
+            assert np.array_equal(rows[r], rhs(0.3, t[r].item(), v[r]))
+            assert np.array_equal(shared[r], rhs(0.3, t[r].item(), v[1]))
 
     @pytest.mark.parametrize("model", [dsp.KDV, dsp.BBM, dsp.KPII, dsp.KPI])
     def test_modewise_triad_sum(self, model):
@@ -119,7 +155,45 @@ def solve(model, eps, u0, dt, t_final, **kwargs):
     return u0.with_coeffs(final)
 
 
+def classical_rk4(model, eps, coeffs, dt, t_start, times):
+    """RK4 through interaction_rhs with exp(i omega t) at every stage time.
+
+    The same segments and steps as `evolve_array`: returns v at each of
+    `times` (increasing, after t_start).
+    """
+    rhs = slv.interaction_rhs(model, coeffs.shape[0])
+    v, t_seg, out = coeffs.astype(complex), t_start, []
+    for target in times:
+        nsteps = slv.step_count(target - t_seg, dt)
+        h = (target - t_seg) / nsteps
+        for i in range(nsteps):
+            t = t_seg + i * h
+            k1 = rhs(eps, t, v)
+            k2 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k1)
+            k3 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k2)
+            k4 = rhs(eps, t + h, v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(v)
+        t_seg = target
+    return out
+
+
 class TestEvolve:
+    # the stepper takes its phases by recurrence from exps taken once per segment; the
+    # scheme is still classical RK4 at the stage times, to rounding
+    @pytest.mark.parametrize("model,nmax", [(dsp.KDV, 4), (dsp.BBM, 4), (dsp.KPI, 3),
+                                            (dsp.KPII, 3)], ids=["kdv", "bbm", "kpi", "kpii"])
+    def test_matches_classical_rk4(self, model, nmax):
+        u0 = steep_field(model.dimension, nmax, seed=17, rate=0.3)
+        t_start, times, dt = 0.3, (0.95, 1.6), 1e-3  # 650 + 650 steps
+        _, snaps, alive, _ = slv.evolve_array(model, 0.5, u0.coeffs, dt, times[-1],
+                                              snapshot_times=times, t_start=t_start)
+        assert alive and [t for t, _ in snaps] == list(times)
+        for (_, got), ref in zip(snaps, classical_rk4(model, 0.5, u0.coeffs, dt,
+                                                      t_start, times)):
+            assert np.max(np.abs(ref - u0.coeffs)) > 1e-3  # the nonlinearity acts
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_free_evolution_is_exact(self):
         f = steep_field(1, 8, seed=4)
         v = solve(dsp.KDV, 0.0, f, 0.01, 0.7)
@@ -188,9 +262,9 @@ class TestEvolve:
         # 2.1 / 0.3 rounds to 7.000000000000001, which is still 7 steps
         taken, real = [], slv._rk4_step
 
-        def counted(rhs, eps, t, h, v):
+        def counted(rhs, eps, t, h, v, *rest):
             taken.append(h)
-            return real(rhs, eps, t, h, v)
+            return real(rhs, eps, t, h, v, *rest)
 
         monkeypatch.setattr(slv, "_rk4_step", counted)
         u0 = steep_field(1, 4, seed=13)
