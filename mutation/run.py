@@ -11,7 +11,8 @@ and runs `python -m pytest -x -q` there and then `wavecorr verify`
 copy's `src/` first on PYTHONPATH.  A mutant is killed when either fails;
 the runner prints the test or verify check that killed it and the time to
 the kill.  The exit code is 1 when any mutant survives or its `old` text
-does not occur exactly once in the source, else 0.
+does not occur exactly once in the source, 2 for a name not in MUTANTS,
+else 0.
 
 Add a mutant with each new check, written against the code as it stands.
 """
@@ -73,7 +74,7 @@ def _apply(dest, path, old, new):
 
 def _killer(dest):
     """The first failing test, else the first failing verify check, else None."""
-    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"))
     tests = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
         cwd=dest, env=env, capture_output=True, text=True)
