@@ -1,18 +1,17 @@
 """The mutation catalog: deliberate faults that the checks must catch.
 
-    python3 mutation/run.py [NAME ...]
+    python3 mutation/run.py
 
 Run from the root of a source tree.  Each mutant is a (name, file, old,
-new) entry of MUTANTS.  For each one (or only the named ones) the runner
-copies `src/`, `tests/`, `pyproject.toml` and `README.md` into a temporary
-directory, replaces the single occurrence of `old` in `file` with `new`,
-and runs `python -m pytest -x -q` there and then `wavecorr verify`
-(under PYTHONWARNINGS=error::RuntimeWarning, as CI runs it), with the
-copy's `src/` first on PYTHONPATH.  A mutant is killed when either fails;
+new) entry of MUTANTS.  For each one the runner copies `src/`, `tests/`,
+`pyproject.toml` and `README.md` into a temporary directory, replaces the
+single occurrence of `old` in `file` with `new`, and runs
+`python -m pytest -x -q` there and then `wavecorr verify` (under
+PYTHONWARNINGS=error::RuntimeWarning, as CI runs it), with the copy's
+`src/` first on PYTHONPATH.  A mutant is killed when either fails;
 the runner prints the test or verify check that killed it and the time to
 the kill.  The exit code is 1 when any mutant survives or its `old` text
-does not occur exactly once in the source, 2 for a name not in MUTANTS,
-else 0.
+does not occur exactly once in the source, else 0.
 
 Add a mutant with each new check, written against the code as it stands.
 """
@@ -92,14 +91,9 @@ def _killer(dest):
     return None
 
 
-def main(names):
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main():
     bad = 0
-    for name, path, old, new in chosen:
+    for name, path, old, new in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="wavecorr-mutant-") as tmp:
             dest = Path(tmp)
@@ -115,9 +109,9 @@ def main(names):
             verdict = "SURVIVED"
         bad += problem is not None or killer is None
         print(f"{name:28s} {verdict}  [{took:.1f} s]", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

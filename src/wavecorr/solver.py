@@ -109,37 +109,35 @@ def _transform(dim, nmax):
 # Right-hand side and stepping on raw arrays.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _i_omega_phi(model, nmax):
+    return 1j * dispersion.omega_grid(model, nmax), 1j * dispersion.phi_grid(model, nmax)
+
+
 def interaction_rhs(model, nmax):
     """The right-hand side rhs(eps, t, v) = -eps * S(-t) J((S(t) v)^2).
 
     `v` carries leading batch axes over the stored lattice; `t` is a scalar
     or an array that broadcasts against `v` (one time per batch row).  The
-    stepper passes `phase=(exp(i omega t), -eps i phi exp(-i omega t))` instead.
+    stepper passes the phase `e = exp(i omega t)` instead, and `t` is not read.
     """
     tr = _transform(model.dimension, nmax)
-    i_om, i_ph = 1j * dispersion.omega_grid(model, nmax), 1j * dispersion.phi_grid(model, nmax)
+    i_om, i_ph = _i_omega_phi(model, nmax)
 
-    def rhs(eps, t, v, phase=None):
-        if phase is None:
+    def rhs(eps, t, v, e=None):
+        if e is None:
             e = np.exp(i_om * t)
-            phase = e, (-eps) * i_ph * np.conj(e)
-        return phase[1] * tr.square(v * phase[0])
+        return (-eps) * i_ph * np.conj(e) * tr.square(v * e)
     return rhs
 
 
-def _rk4_step(rhs, eps, t, h, v, phases):
-    """v + (h/6) (k1 + 2 (k2 + k3) + k4) in place, from rhs's phases at t, t + h/2, t + h."""
-    k1 = rhs(eps, t, v, phases[0])
-    k2 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k1, phases[1])
-    k3 = rhs(eps, t + 0.5 * h, v + (0.5 * h) * k2, phases[1])
-    k4 = rhs(eps, t + h, v + h * k3, phases[2])
-    k2 += k3
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += v
-    return k2
+def _rk4_step(rhs, eps, h, v, e0, e_half, e1):
+    """One classical RK4 step, given exp(i omega t) at t, t + h/2 and t + h."""
+    k1 = rhs(eps, None, v, e0)
+    k2 = rhs(eps, None, v + (0.5 * h) * k1, e_half)
+    k3 = rhs(eps, None, v + (0.5 * h) * k2, e_half)
+    k4 = rhs(eps, None, v + h * k3, e1)
+    return v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def step_count(span, dt):
@@ -170,7 +168,8 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
         raise ValueError(f"t_final={t_final} precedes t_start={t_start}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a positive finite number, got {dt}")
-    dim, shape = model.dimension, np.shape(coeffs)
+    dim = model.dimension
+    shape = np.shape(coeffs)
     nmax = shape[-dim] if len(shape) >= dim else 0
     if len(shape) < dim or shape[-dim:] != dispersion.stored_shape(dim, nmax):
         raise ValueError(f"coefficient shape {shape} does not end in a stored "
@@ -187,37 +186,40 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
             "expect degraded accuracy on the highest modes",
             StepAccuracyWarning, stacklevel=2)
     rhs = interaction_rhs(model, nmax)
-    i_om = 1j * dispersion.omega_grid(model, nmax)
-    neg = (-eps) * (1j * dispersion.phi_grid(model, nmax))
+    i_om = _i_omega_phi(model, nmax)[0]
 
+    lead = shape[:-dim]
     v = np.array(coeffs, dtype=complex)
-    alive = np.ones(shape[:-dim], dtype=bool)
-    blow_time = np.full(alive.shape, np.nan)
+    alive = np.ones(lead, dtype=bool)
+    blow_time = np.full(lead, np.nan)
 
+    spectral_axes = tuple(range(-dim, 0))
+    snaps = []
     targets = [s for s in snap_set if s > t_start + 1e-12]
     if not targets or targets[-1] < t_final - 1e-12:
         targets = targets + [t_final]
-    snaps = [(t_start, v.copy())] if snap_set and abs(snap_set[0] - t_start) <= 1e-12 else []
+    if snap_set and abs(snap_set[0] - t_start) <= 1e-12:
+        snaps.append((t_start, v.copy()))
 
     t_seg = t_start
     # overflow to non-finite values is detected explicitly after each step
     with np.errstate(invalid="ignore", over="ignore"):
         for target in targets:
-            nsteps = step_count(target - t_seg, dt)
+            span = target - t_seg
+            nsteps = step_count(span, dt)
             if not nsteps:
                 continue
-            h = (target - t_seg) / nsteps
+            h = span / nsteps
             # three exps per segment; each step's end phase starts the next step
             half, full = np.exp(i_om * (0.5 * h)), np.exp(i_om * h)
             e1 = np.exp(i_om * t_seg)
             for i in range(nsteps):
                 t_now, e0 = t_seg + i * h, e1
                 e1 = e0 * full
-                phases = [(e, neg * np.conj(e)) for e in (e0, e0 * half, e1)]
-                v = _rk4_step(rhs, eps, t_now, h, v, phases)
-                finite = np.isfinite(v).all(axis=tuple(range(-dim, 0)))
-                if not finite.all():  # a dead row is zero, so stays finite
-                    blow_time = np.where(finite, blow_time, t_now + h)
+                v = _rk4_step(rhs, eps, h, v, e0, e0 * half, e1)
+                finite = np.isfinite(v).all(axis=spectral_axes)
+                if not finite.all():
+                    blow_time = np.where(alive & ~finite, t_now + h, blow_time)
                     alive = alive & finite
                     v = np.where(finite[(...,) + (None,) * dim], v, 0.0)
             t_seg = target

@@ -234,6 +234,17 @@ class TestEvolve:
         assert not alive
         assert 0.0 < blow <= 10.0
 
+    # a dead row is zeroed, but an eps whose multiplier is not finite turns that zero
+    # back into nan at every step: the blow-up time stays the first one
+    @pytest.mark.parametrize("eps", [np.inf, 1e308])
+    def test_blow_up_time_is_the_first(self, eps):
+        batch = np.stack([steep_field(1, 4, seed=s).coeffs for s in (24, 25)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", slv.StepAccuracyWarning)
+            _, _, alive, blow = slv.evolve_array(dsp.KDV, eps, batch, 0.1, 0.5)
+        assert not alive.any()
+        assert blow.tolist() == [0.1, 0.1]
+
     def test_validation(self):
         u0 = steep_field(1, 4, seed=13)
         slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 2.0, 1.0)  # one shortened step
@@ -262,9 +273,9 @@ class TestEvolve:
         # 2.1 / 0.3 rounds to 7.000000000000001, which is still 7 steps
         taken, real = [], slv._rk4_step
 
-        def counted(rhs, eps, t, h, v, *rest):
+        def counted(rhs, eps, h, *rest):
             taken.append(h)
-            return real(rhs, eps, t, h, v, *rest)
+            return real(rhs, eps, h, *rest)
 
         monkeypatch.setattr(slv, "_rk4_step", counted)
         u0 = steep_field(1, 4, seed=13)
