@@ -132,12 +132,18 @@ def interaction_rhs(model, nmax):
 
 
 def _rk4_step(rhs, eps, h, v, e0, e_half, e1):
-    """One classical RK4 step, given exp(i omega t) at t, t + h/2 and t + h."""
+    """One RK4 step from exp(i omega t) at t, t + h/2 and t + h; it combines in place."""
     k1 = rhs(eps, None, v, e0)
     k2 = rhs(eps, None, v + (0.5 * h) * k1, e_half)
     k3 = rhs(eps, None, v + (0.5 * h) * k2, e_half)
     k4 = rhs(eps, None, v + h * k3, e1)
-    return v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += v
+    return k2
 
 
 def step_count(span, dt):
