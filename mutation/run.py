@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 SOLVER = "src/wavecorr/solver.py"
+DISPERSION = "src/wavecorr/dispersion.py"
 
 MUTANTS = [
     # 3*nmax points let the product of the top modes wrap onto a stored mode
@@ -48,6 +49,20 @@ MUTANTS = [
     ("2d-scatter-row-off-by-one", SOLVER,
      "grid[..., n - m:] = coeffs",
      "grid[..., n - m - 1:-1] = coeffs"),
+    # the KP triad mirror flips n1 instead of n2
+    ("mirror-flips-n1", DISPERSION,
+     "        index = index[:, ::-1]\n",
+     "        index = index[::-1]\n"),
+    # the mirrored triad's weight keeps the unmirrored k and l
+    ("mirror-reuses-unmirrored-kl", DISPERSION,
+     "mirror[k[moved]], mirror[l[moved]]",
+     "k[moved], l[moved]"),
+    ("tilde-f-2.001", "src/wavecorr/kernels.py",
+     "return 2.0 * half_sin * half_sin",
+     "return 2.001 * half_sin * half_sin"),
+    ("bracket-sign-flip", "src/wavecorr/covariance.py",
+     "- ph[k] * lam2[n] * lam2[l]",
+     "+ ph[k] * lam2[n] * lam2[l]"),
 ]
 
 

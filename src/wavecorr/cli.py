@@ -185,7 +185,7 @@ class RunConfig:
     def check_work(self, samples):
         """check_budget for `samples` solves to the last time, counted as samples x
         steps x 4 stages x padded grid points, plus (2 + times) x stored^2 unordered
-        triad pairs: about 2 stored^2 for max |delta|, stored^2 for G_n or b per time."""
+        triad pairs: at most 2 stored^2 for max |delta|, stored^2 for G_n or b per time."""
         try:
             steps = solver.step_count(max(self.times), self["run.dt"])
         except ValueError as exc:
@@ -483,8 +483,8 @@ def _check_dealias():
     for dim, nm in ((1, 5), (2, 3)):
         f = fld.random_field(dim, nm, rng)
         a = fld.full_array(f).ravel()
-        exact = dispersion.triad_sums(dim, nm, lambda n, k, l: a[k] * a[l],
-                                      dispersion.stored_modes(dim, nm))
+        exact = dispersion.triad_sums(dim, nm, np.zeros(a.size), np.ones_like,
+                                      lambda n, k, l, one: a[k] * a[l] * one)
         got = solver.dealiased_square(f).coeffs.ravel()
         worst = max(worst, float(np.max(np.abs(got - exact))))
     return worst <= 1e-13, f"max defect vs the exact triad sums {worst:.3e}"

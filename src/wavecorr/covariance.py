@@ -76,11 +76,12 @@ def _bracket(ph, lam2, n, k, l):
 def _g_parts(spectrum, kurtosis, model, t):
     """Pieces of G at the times `t` over the stored modes.
 
-    Returns (modes, weight, correction, dropped): the (M, dim) int stored
-    modes, `weight(n, k, l)` the per-triad main terms of a block of flat
-    triad indices, `correction` the kurtosis term with shape t.shape + (M,),
-    and `dropped` the modes whose doubled mode 2n falls outside the
-    truncation while that term is live.
+    Returns (om, kernel, weight, correction, dropped): the flat full-box
+    omega table, `kernel(delta)` the tilde_F values of a block of triads,
+    `weight(n, k, l, kern)` their main terms from those values (the two as
+    `dispersion.triad_sums` takes them), `correction` the kurtosis
+    term with shape t.shape + (M,), and `dropped` the modes whose doubled
+    mode 2n falls outside the truncation while that term is live.
     """
     dim, nmax = spectrum.dimension, spectrum.nmax
     if model.dimension != dim:
@@ -88,14 +89,14 @@ def _g_parts(spectrum, kurtosis, model, t):
     om, ph, lam2 = _full_tables(spectrum, model)
     modes = dispersion.stored_modes(dim, nmax)
     t = np.asarray(t, dtype=float)[..., None]
+    kernel = functools.partial(tilde_f_kernel, t=t)
 
-    def weight(n, k, l):
-        delta = om[k] + om[l] - om[n]
-        return 4.0 * ph[n] * tilde_f_kernel(delta, t) * _bracket(ph, lam2, n, k, l)
+    def weight(n, k, l, kern):
+        return 4.0 * ph[n] * kern * _bracket(ph, lam2, n, k, l)
 
     if kurtosis == 2.0:
         flags = np.zeros(len(modes), dtype=bool)
-        return modes, weight, np.zeros(t.shape[:-1] + flags.shape), flags
+        return om, kernel, weight, np.zeros(t.shape[:-1] + flags.shape), flags
     n = dispersion.flat_index(dim, nmax, modes)
     even = np.all(modes % 2 == 0, axis=-1)
     q = dispersion.flat_index(dim, nmax, modes // 2)
@@ -105,7 +106,7 @@ def _g_parts(spectrum, kurtosis, model, t):
     twice_term = (4.0 * tilde_f_kernel(om[twice] - 2.0 * om[n], t)
                   * ph[twice] * ph[n] * lam2[n] ** 2)
     correction = np.where(even, half_term, 0.0) - np.where(inside, twice_term, 0.0)
-    return modes, weight, correction * (kurtosis - 2.0), ~inside
+    return om, kernel, weight, correction * (kurtosis - 2.0), ~inside
 
 
 def g_table(spectrum, kurtosis, model, t):
@@ -113,11 +114,12 @@ def g_table(spectrum, kurtosis, model, t):
 
     `t` is a time or a 1-d array of times; values have shape
     t.shape + stored_shape.  A mode is flagged when its kurtosis term needs
-    the doubled mode 2n and 2n falls outside the truncation.
+    the doubled mode 2n and 2n falls outside the truncation.  For KP each
+    tilde_F value serves a triad and its mirror (`dispersion.triad_sums`).
     """
     dim, nmax = spectrum.dimension, spectrum.nmax
-    modes, weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t)
-    values = dispersion.triad_sums(dim, nmax, weight, modes) + correction
+    om, kernel, weight, correction, dropped = _g_parts(spectrum, kurtosis, model, t)
+    values = dispersion.triad_sums(dim, nmax, om, kernel, weight) + correction
     labels = dispersion.mode_list(dim, nmax)
     return (values.reshape(np.shape(t) + dispersion.stored_shape(dim, nmax)),
             [labels[m] for m in np.flatnonzero(dropped)])
@@ -134,11 +136,12 @@ def g_terms(spectrum, kurtosis, model, t):
     and adding the correction gives g_table's values.
     """
     dim, nmax = spectrum.dimension, spectrum.nmax
-    modes, weight, correction, _ = _g_parts(spectrum, kurtosis, model, t)
-    flat = dispersion.flat_index(dim, nmax, modes)
+    om, kernel, weight, correction, _ = _g_parts(spectrum, kurtosis, model, t)
+    flat = dispersion.flat_index(dim, nmax, dispersion.stored_modes(dim, nmax))
     empty = (np.empty(0, dtype=np.intp),) * 3
     n, k, l = map(np.concatenate, zip(*dispersion.triad_blocks(dim, nmax, flat), empty))
-    return np.searchsorted(flat, n), weight(n, k, l) * np.where(k == l, 1.0, 2.0), correction
+    terms = weight(n, k, l, kernel(om[k] + om[l] - om[n]))
+    return np.searchsorted(flat, n), terms * np.where(k == l, 1.0, 2.0), correction
 
 
 def _decay_exponent(model, s):

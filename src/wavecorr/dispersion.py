@@ -23,6 +23,13 @@ triad once (k <= l by flat full-box index), so a triad sum looks delta up
 from `omega_full(...).ravel()`, gathers its per-triad weight, counts the
 off-diagonal triads twice and reduces per output mode (`triad_sums`).
 `enumerate_triads` expands the blocks into the ordered catalog.
+
+KP-I and KP-II have omega even in n2, so the transverse mirror
+R(n1, n2) = (n1, -n2) maps each triad to one with the same delta, bit for
+bit: `triad_sums` (G_n and the first iterate b) and `max_abs_delta` walk
+the output modes with n2 >= 0 only and reuse each delta for the mirror.
+`_mirror` takes the map from the omega table, the identity in 1-d or for a
+relation that is not even in n2.
 """
 
 from __future__ import annotations
@@ -324,16 +331,16 @@ def phi_grid(model, nmax):
 # Triad enumeration.
 # ---------------------------------------------------------------------------
 
-# Candidate (n, k) pairs per block, before the k <= l cut keeps about half.
-# A triad sum's per-block arrays then stay under 1 MB, complex weights and
-# several times included, so it adds little to a run's peak memory.  On a
+# Candidate (n, k) pairs per block, before the k <= l cut keeps about half,
+# for a caller that keeps 32 bytes per triad (three int64 indices and one
+# float64, or four float64 times): per-block arrays stay under 1 MB.  On a
 # 2-core shared host the KP-II nmax=32 4-time `predict` took a median 0.74 s
 # of CPU at 1<<13 (one output mode per block: per-block overhead dominates),
 # 0.53-0.59 s from 1<<14 to 1<<16 and 0.64 s at 1<<17.
 _TRIAD_BLOCK = 1 << 15
 
 
-def triad_blocks(dim, nmax, modes=None):
+def triad_blocks(dim, nmax, modes=None, triad_bytes=32):
     """Yield flat full-box index arrays (n, k, l) covering every unordered triad
     k + l = n once, as the ordered triad with k <= l.
 
@@ -341,8 +348,9 @@ def triad_blocks(dim, nmax, modes=None):
     either half-lattice); by default every mode of the truncated active
     lattice.  k and l range over the active modes of the box.  Triads come
     grouped by n in the order of `modes`, k ascending within a group; a
-    block holds whole groups and at most _TRIAD_BLOCK candidate pairs
-    (unless one group alone has more), which bounds peak memory.
+    block holds whole groups and at most _TRIAD_BLOCK * 32 // triad_bytes
+    candidate pairs (unless one group alone has more), which bounds peak
+    memory for a caller that keeps `triad_bytes` per triad.
     """
     full = full_modes(dim, nmax)
     active = np.flatnonzero(full[:, 0])
@@ -350,7 +358,7 @@ def triad_blocks(dim, nmax, modes=None):
     # the flat index is affine in the mode: flat(k) + flat(l) = flat(n) + flat(0)
     origin = flat_index(dim, nmax, np.zeros(dim, dtype=int))
     modes = active if modes is None else np.asarray(modes).reshape(-1)
-    per_block = max(1, _TRIAD_BLOCK // active.size)
+    per_block = max(1, _TRIAD_BLOCK * 32 // (triad_bytes * active.size))
     for start in range(0, modes.size, per_block):
         n = modes[start:start + per_block]
         # k pairs with n when |n_a - k_a| <= nmax on each axis and k1 != n1; the
@@ -370,24 +378,47 @@ def triad_blocks(dim, nmax, modes=None):
             yield n_i, k_j, n_i + origin - k_j
 
 
-def triad_sums(dim, nmax, weight, modes):
-    """Sum `weight(n, k, l)` over the triads of each of the (M, dim) int `modes`.
+def _mirror(dim, nmax, om):
+    """Flat full-box index of each mode's transverse mirror R(n1, n2) = (n1, -n2)
+    when the flat omega table `om` is bitwise invariant under R, else of the
+    mode itself; R n <= n by flat index exactly when R is the identity or n2 >= 0."""
+    index = np.arange(om.size).reshape(full_shape(dim, nmax))
+    if dim == 2 and om.tobytes() == om.reshape(index.shape)[:, ::-1].tobytes():
+        index = index[:, ::-1]
+    return index.ravel()
 
-    `weight` maps the flat index arrays of one block to per-triad values with
-    the triad axis last; it must be symmetric in (k, l), since each unordered
-    triad is evaluated once and counted twice when k != l.  Returns its
-    leading axes plus one entry per mode, zero where a mode has no triad.
+
+def triad_sums(dim, nmax, om, kernel, weight):
+    """Sum weight(n, k, l, kernel(delta)) over the triads of every stored mode.
+
+    `om` is the flat full-box omega table, delta = om[k] + om[l] - om[n];
+    `kernel` maps a block's deltas, and `weight` the flat index arrays of its
+    triads and their kernel values, to per-triad values with the triad axis
+    last.  The weight must be symmetric in (k, l): each unordered triad is
+    evaluated once and counted twice when k != l.  Only the stored modes
+    with R n <= n (R from `_mirror`) are enumerated; each kernel value also
+    serves the triad (Rn, Rk, Rl), with that triad's weight, when Rn != n.
+    Returns the leading axes plus one entry per stored mode.
     """
-    modes = flat_index(dim, nmax, modes)
+    stored = flat_index(dim, nmax, stored_modes(dim, nmax))
+    mirror = _mirror(dim, nmax, om)
     # an empty block fixes the shape and dtype of the result
     empty = np.empty(0, dtype=np.intp)
-    probe = weight(empty, empty, empty)
-    out = np.zeros(probe.shape[:-1] + (np.prod(full_shape(dim, nmax)),), dtype=probe.dtype)
-    for n, k, l in triad_blocks(dim, nmax, modes):
+    probe = weight(empty, empty, empty, kernel(om[empty]))
+    out = np.zeros(probe.shape[:-1] + (om.size,), dtype=probe.dtype)
+
+    def add(n, k, l, kern):
         starts = np.flatnonzero(np.diff(n, prepend=-1))
-        terms = weight(n, k, l) * np.where(k == l, 1.0, 2.0)
-        out[..., n[starts]] = np.add.reduceat(terms, starts, axis=-1)
-    return out[..., modes]
+        out[..., n[starts]] = np.add.reduceat(weight(n, k, l, kern), starts, axis=-1)
+
+    triad_bytes = probe.itemsize * max(1, int(np.prod(probe.shape[:-1])))
+    for n, k, l in triad_blocks(dim, nmax, stored[mirror[stored] <= stored], triad_bytes):
+        kern = kernel(om[k] + om[l] - om[n]) * np.where(k == l, 1.0, 2.0)
+        add(n, k, l, kern)
+        moved = mirror[n] != n
+        if moved.any():
+            add(mirror[n[moved]], mirror[k[moved]], mirror[l[moved]], kern[..., moved])
+    return out[..., stored]
 
 
 def enumerate_triads(dim, nmax):
@@ -414,9 +445,13 @@ def enumerate_triads(dim, nmax):
 def max_abs_delta(model, nmax):
     """Largest |delta| over all triads of the truncation, the fastest phase
     e^(i delta t): it bounds dt and sets the quadrature resolution (cached).
-    |delta| is symmetric in (k, l), so the unordered triads suffice."""
+    |delta| is symmetric in (k, l) and invariant under the map R of
+    `_mirror`, so the unordered triads of the active modes with R n <= n
+    suffice: for KP, those with n2 >= 0."""
     om = omega_full(model, nmax).ravel()
+    mirror = _mirror(model.dimension, nmax, om)
+    active = np.flatnonzero(full_modes(model.dimension, nmax)[:, 0])
     worst = 0.0
-    for n, k, l in triad_blocks(model.dimension, nmax):
+    for n, k, l in triad_blocks(model.dimension, nmax, active[mirror[active] <= active]):
         worst = max(worst, float(np.abs(om[k] + om[l] - om[n]).max()))
     return worst

@@ -40,18 +40,23 @@ def default_panels(model, nmax, t):
 
 
 def first_iterate_closed_form(u0, model, t):
-    """Exact triad sum for b(t) over the truncated lattice."""
+    """Exact triad sum for b(t) over the truncated lattice: a field at a time
+    `t`, or at a 1-d array of times the coefficients, shape t.shape +
+    stored_shape, from one triad pass (for KP one F value per triad and its
+    mirror, see `dispersion.triad_sums`)."""
     nmax, dim = u0.nmax, u0.dimension
     if model.dimension != dim:
         raise ValueError(f"datum dimension {dim} does not match model {model.kind}")
     a = full_array(u0).ravel()
     om = dispersion.omega_full(model, nmax).ravel()
+    times = np.asarray(t, dtype=float)[..., None]
 
-    def weight(n, k, l):
-        return a[k] * a[l] * f_kernel(om[k] + om[l] - om[n], t)
+    def weight(n, k, l, kern):
+        return a[k] * a[l] * kern
 
-    sums = dispersion.triad_sums(dim, nmax, weight, dispersion.stored_modes(dim, nmax))
-    return u0.with_coeffs(-1j * dispersion.phi_grid(model, nmax) * sums.reshape(u0.coeffs.shape))
+    sums = dispersion.triad_sums(dim, nmax, om, lambda delta: f_kernel(delta, times), weight)
+    coeffs = -1j * dispersion.phi_grid(model, nmax) * sums.reshape(np.shape(t) + u0.coeffs.shape)
+    return u0.with_coeffs(coeffs) if np.ndim(t) == 0 else coeffs
 
 
 def first_iterate_quadrature(u0, model, t, panels=None):
@@ -113,13 +118,10 @@ def _remainders(u0, model, epsilon, times, dt):
     _, snaps, alive, blow = evolve_array(model, epsilon, u0.coeffs, dt, max(times),
                                          snapshot_times=times)
     cutoff = math.inf if alive else float(blow)
-    rows = []
-    for t, v in snaps:
-        if t >= cutoff:
-            break
-        b = first_iterate_closed_form(u0, model, t)
-        rows.append((t, b, u0.with_coeffs((v - u0.coeffs - epsilon * b.coeffs) / epsilon ** 2)))
-    return rows, cutoff
+    snaps = [(t, v) for t, v in snaps if t < cutoff]
+    b = first_iterate_closed_form(u0, model, np.array([t for t, _ in snaps]))
+    return [(t, u0.with_coeffs(bt), u0.with_coeffs((v - u0.coeffs - epsilon * bt) / epsilon ** 2))
+            for (t, v), bt in zip(snaps, b)], cutoff
 
 
 def decompose(u0, model, epsilon, t, dt):

@@ -217,6 +217,15 @@ class TestLattice:
                     same_n = n[1:] == n[:-1]
                     assert np.all(k[1:][same_n] > k[:-1][same_n])
 
+    def test_triad_blocks_shrink_with_triad_bytes(self):
+        # a triad sum over six complex times keeps 96 bytes per triad, three
+        # times the 32 a block is sized for, so its blocks hold a third the modes
+        active = np.flatnonzero(dsp.full_modes(2, 16)[:, 0])
+        sizes = {b: max(np.unique(n).size for n, _, _ in dsp.triad_blocks(2, 16, None, b))
+                 for b in (32, 96)}
+        assert sizes == {32: dsp._TRIAD_BLOCK // active.size,
+                         96: dsp._TRIAD_BLOCK // (3 * active.size)}
+
     def test_triad_enumeration_is_exhaustive(self, monkeypatch):
         # the ordered catalog expands the k <= l blocks by their mirrors; the
         # small block checks that expansion across many multi-mode blocks

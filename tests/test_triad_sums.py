@@ -106,10 +106,40 @@ def setup(model, nmax):
     return spec, Loop(model, spec)
 
 
-@pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
-@pytest.mark.parametrize("kurtosis", [2.0, 1.0])
-def test_g_against_loop(model, nmax, kurtosis):
+def kp_odd_in_n2(n1, n2):
+    """KP-I's relation plus n2^3: still odd in n, but not even in n2, and
+    unlike a drift n2 the added term moves delta."""
+    return n1 * n1 * n1 + (n2 * n2) / n1 + n2 * n2 * n2
+
+
+# the KP triad sums share each kernel value between a triad and its mirror
+# (n1, -n2); these inputs are not mirror-symmetric, so a sum that assumed the
+# spectrum or the relation to be would miss the loop
+G_CASES = [(model, nmax, None) for model, nmax in CASES] + [
+    (dsp.KPII, 4, "tilted"), (dsp.KPI, 4, "tilted"), (dsp.KPI, 4, "odd-in-n2")]
+G_IDS = IDS + ["kpii-tilted", "kpi-tilted", "kpi-odd-in-n2"]
+
+
+def g_setup(model, nmax, variant, monkeypatch):
+    """setup(), with a spectrum whose lambda(n1, n2) != lambda(n1, -n2) when
+    `variant` is "tilted", or omega odd in n2 injected when "odd-in-n2"."""
     spec, loop = setup(model, nmax)
+    if variant == "tilted":
+        table = np.random.default_rng(8).uniform(0.5, 1.5, spec.table.shape)
+        assert not np.allclose(table, table[:, ::-1])
+        spec = smp.SpectrumProfile("tilted", None, nmax, 2, table)
+        loop = Loop(model, spec)
+    elif variant == "odd-in-n2":
+        monkeypatch.setitem(dsp._OMEGA, model.kind, kp_odd_in_n2)
+        om = dsp.omega_full(model, nmax)
+        assert not np.array_equal(om, om[:, ::-1])
+    return spec, loop
+
+
+@pytest.mark.parametrize("model,nmax,variant", G_CASES, ids=G_IDS)
+@pytest.mark.parametrize("kurtosis", [2.0, 1.0])
+def test_g_against_loop(model, nmax, variant, kurtosis, monkeypatch):
+    spec, loop = g_setup(model, nmax, variant, monkeypatch)
     modes = stored(model, nmax)
     times = np.array([0.4, 1.3])
     want = np.array([[loop.g(n, kurtosis, t) for n in modes] for t in times])
@@ -126,14 +156,16 @@ def test_g_against_loop(model, nmax, kurtosis):
 @pytest.mark.parametrize("dim,nmax", [(1, 6), (2, 3)])
 def test_triad_sums_of_symmetric_weight_against_ordered_loop(dim, nmax):
     # each unordered triad is evaluated once and counted twice off the
-    # diagonal k == l, which even n have; the loop sums every ordered triad
+    # diagonal k == l, which even n have; the loop sums every ordered triad.
+    # A zero omega table is mirror-invariant, so in 2-d every kernel value
+    # serves a triad and its mirror (n1, -n2), whose table entry differs.
     box = list(itertools.product(range(-nmax, nmax + 1), repeat=dim))
     where = {m: i for i, m in enumerate(box)}
     rng = np.random.default_rng(dim)
     size = (2,) + (len(box),) * 3
     table = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     table = table + table.transpose(0, 1, 3, 2)
-    modes = [m for m in box if m[0]]
+    modes = [m for m in box if m[0] > 0]
     want = np.zeros((2, len(modes)), dtype=complex)
     diagonal = 0
     for i, n in enumerate(modes):
@@ -142,15 +174,40 @@ def test_triad_sums_of_symmetric_weight_against_ordered_loop(dim, nmax):
             diagonal += k == l
     assert diagonal > 0
 
-    def weight(n, k, l):
-        return table[:, n, k, l]
+    def weight(n, k, l, one):
+        return table[:, n, k, l] * one
 
-    assert_close(dsp.triad_sums(dim, nmax, weight, np.array(modes)), want)
+    assert_close(dsp.triad_sums(dim, nmax, np.zeros(len(box)), np.ones_like, weight), want)
 
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
-def test_g_terms_against_loop(model, nmax):
-    spec, loop = setup(model, nmax)
+def test_triad_sums_weigh_each_triad_once(model, nmax):
+    # every unordered triad of a stored mode is weighed once; for KP the
+    # kernel sees only the triads of the modes with n2 >= 0, whose values
+    # the mirrors (n1, -n2) reuse
+    dim = model.dimension
+    stored = dsp.flat_index(dim, nmax, dsp.stored_modes(dim, nmax))
+    full = dsp.full_modes(dim, nmax)
+    kernel_sizes, weighed = [], []
+
+    def kernel(delta):
+        kernel_sizes.append(delta.size)
+        return np.ones_like(delta)
+
+    def weight(n, k, l, kern):
+        weighed.extend(zip(n.tolist(), np.minimum(k, l).tolist(), np.maximum(k, l).tolist()))
+        return kern
+
+    dsp.triad_sums(dim, nmax, dsp.omega_full(model, nmax).ravel(), kernel, weight)
+    want = [t for block in dsp.triad_blocks(dim, nmax, stored)
+            for t in zip(*(a.tolist() for a in block))]
+    assert sorted(weighed) == sorted(want)
+    assert sum(kernel_sizes) == sum(1 for n, _, _ in want if dim == 1 or full[n, 1] >= 0)
+
+
+@pytest.mark.parametrize("model,nmax,variant", G_CASES, ids=G_IDS)
+def test_g_terms_against_loop(model, nmax, variant, monkeypatch):
+    spec, loop = g_setup(model, nmax, variant, monkeypatch)
     modes = stored(model, nmax)
     t = 0.9
     # one term per unordered triad, k <= l (tuples order as flat indices), in
@@ -172,17 +229,20 @@ def test_closed_form_b_against_loop(model, nmax):
     u0 = fld.random_field(model.dimension, nmax, np.random.default_rng(5))
     dense = fld.full_array(u0)
     _, loop = setup(model, nmax)
-    t = 0.7
+    times = np.array([0.7, 1.6])
     want = []
-    for n in stored(model, nmax):
-        total = 0.0j
-        for k, l in triads(nmax, n):
-            a_k = dense[tuple(c + nmax for c in k)]
-            a_l = dense[tuple(c + nmax for c in l)]
-            total += a_k * a_l * f_kernel(loop.delta(n, k, l), t)
-        want.append(-1j * loop.ph(n) * total)
-    got = pic.first_iterate_closed_form(u0, model, t).coeffs
-    assert_close(got, np.array(want).reshape(got.shape))
+    for t in times:
+        for n in stored(model, nmax):
+            total = 0.0j
+            for k, l in triads(nmax, n):
+                a_k = dense[tuple(c + nmax for c in k)]
+                a_l = dense[tuple(c + nmax for c in l)]
+                total += a_k * a_l * f_kernel(loop.delta(n, k, l), t)
+            want.append(-1j * loop.ph(n) * total)
+    want = np.reshape(want, times.shape + u0.coeffs.shape)
+    assert_close(pic.first_iterate_closed_form(u0, model, times[0]).coeffs, want[0])
+    # an array of times gives every time's coefficients from one triad pass
+    assert_close(pic.first_iterate_closed_form(u0, model, times), want)
 
 
 @pytest.mark.parametrize("model,nmax", CASES, ids=IDS)
