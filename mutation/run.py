@@ -3,12 +3,14 @@
     python3 mutation/run.py
 
 Run from the root of a source tree.  Each mutant is a (name, file, old,
-new) entry of MUTANTS.  For each one the runner copies `src/`, `tests/`,
+new, tests) entry of MUTANTS, where `tests` is the test file expected to
+kill it.  For each one the runner copies `src/`, `tests/`,
 `pyproject.toml` and `README.md` into a temporary directory, replaces the
 single occurrence of `old` in `file` with `new`, and runs
-`python -m pytest -x -q` there and then `wavecorr verify` (under
+`python -m pytest -x -q <tests>` there, then the whole suite if that file
+passes, and then `wavecorr verify` (under
 PYTHONWARNINGS=error::RuntimeWarning, as CI runs it), with the copy's
-`src/` first on PYTHONPATH.  A mutant is killed when either fails;
+`src/` first on PYTHONPATH.  A mutant is killed when any of these fails;
 the runner prints the test or verify check that killed it and the time to
 the kill.  The exit code is 1 when any mutant survives or its `old` text
 does not occur exactly once in the source, else 0.
@@ -31,38 +33,79 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 SOLVER = "src/wavecorr/solver.py"
 DISPERSION = "src/wavecorr/dispersion.py"
+SAMPLING = "src/wavecorr/sampling.py"
+T_SOLVER = "tests/test_solver.py"
+T_DISPERSION = "tests/test_dispersion.py"
+T_TRIADS = "tests/test_triad_sums.py"
 
 MUTANTS = [
     # 3*nmax points let the product of the top modes wrap onto a stored mode
     ("padded-length-3n", SOLVER,
      "    n = 3 * nmax + 1\n",
-     "    n = 3 * nmax\n"),
+     "    n = 3 * nmax\n", T_SOLVER),
+    # 2*nmax + 2 points let most products of two high modes wrap
+    ("padded-length-2n+2", SOLVER,
+     "    n = 3 * nmax + 1\n",
+     "    n = 2 * nmax + 2\n", T_SOLVER),
     # the midpoint stages evaluated at the step's end phase
     ("half-step-phase-from-h", SOLVER,
      "np.exp(i_om * (0.5 * h))",
-     "np.exp(i_om * h)"),
+     "np.exp(i_om * h)", T_SOLVER),
     # each step hands its half-step phase on as the next step's start
     ("hands-on-half-step-phase", SOLVER,
      "t_now, e0 = t_seg + i * h, e1\n",
-     "t_now, e0 = t_seg + i * h, e1 if i == 0 else e0 * half\n"),
+     "t_now, e0 = t_seg + i * h, e1 if i == 0 else e0 * half\n", T_SOLVER),
+    # the stepper's n1 = 1 phase row rolled one n2 place in 2-d
+    ("kp-phase-row-rolled", SOLVER,
+     "    rhs = interaction_rhs(model, nmax)\n    i_om = 1j * dispersion.omega_grid(model, nmax)\n",
+     "    rhs = interaction_rhs(model, nmax)\n    i_om = 1j * dispersion.omega_grid(model, nmax)\n"
+     "    if dim == 2:\n        i_om[0] = np.roll(i_om[0], 1)\n", T_SOLVER),
+    # the right-hand side of each mode written to its neighbour
+    ("rhs-shifted-one-mode", SOLVER,
+     "        return (-eps) * i_ph * np.conj(e) * _square(v * e, dim, nmax, n)\n",
+     "        return np.roll((-eps) * i_ph * np.conj(e) * _square(v * e, dim, nmax, n), 1, axis=-1)\n",
+     T_SOLVER),
     # the n2 < 0 rows of the 2-d square scattered one grid row low
     ("2d-scatter-row-off-by-one", SOLVER,
      "grid[..., n - m:] = coeffs",
-     "grid[..., n - m - 1:-1] = coeffs"),
+     "grid[..., n - m - 1:-1] = coeffs", T_SOLVER),
+    # a cached bound keeps the relation it first saw after an injection is undone
+    ("max-abs-delta-cached", DISPERSION,
+     "def max_abs_delta(model, nmax):\n",
+     "@__import__(\"functools\").lru_cache(maxsize=None)\ndef max_abs_delta(model, nmax):\n",
+     "tests/test_cli.py"),
+    # BBM's pulsation with its sign flipped
+    ("bbm-omega-sign-flip", DISPERSION,
+     "    return -n1 / (1.0 + n1 * n1)\n",
+     "    return n1 / (1.0 + n1 * n1)\n", T_DISPERSION),
+    # KdV's pulsation doubled
+    ("kdv-omega-2n3", DISPERSION,
+     "def _omega_kdv(n1):\n    return n1 * n1 * n1\n",
+     "def _omega_kdv(n1):\n    return 2.0 * n1 * n1 * n1\n", T_DISPERSION),
     # the KP triad mirror flips n1 instead of n2
     ("mirror-flips-n1", DISPERSION,
      "        index = index[:, ::-1]\n",
-     "        index = index[::-1]\n"),
+     "        index = index[::-1]\n", T_TRIADS),
     # the mirrored triad's weight keeps the unmirrored k and l
     ("mirror-reuses-unmirrored-kl", DISPERSION,
      "mirror[k[moved]], mirror[l[moved]]",
-     "k[moved], l[moved]"),
+     "k[moved], l[moved]", T_TRIADS),
+    # two modes of every datum share one draw
+    ("sampler-shares-a-draw", SAMPLING,
+     "        g = draw_noise(config.law, sample_stream(config.seed, index), count)\n",
+     "        g = draw_noise(config.law, sample_stream(config.seed, index), count)\n"
+     "        g[1] = g[0]\n", "tests/test_sampling.py"),
+    # ... or its conjugate
+    ("sampler-shares-a-conjugate-draw", SAMPLING,
+     "        g = draw_noise(config.law, sample_stream(config.seed, index), count)\n",
+     "        g = draw_noise(config.law, sample_stream(config.seed, index), count)\n"
+     "        g[1] = np.conj(g[0])\n", "tests/test_sampling.py"),
     ("tilde-f-2.001", "src/wavecorr/kernels.py",
      "return 2.0 * half_sin * half_sin",
-     "return 2.001 * half_sin * half_sin"),
+     "return 2.001 * half_sin * half_sin", "tests/test_kernels.py"),
     ("bracket-sign-flip", "src/wavecorr/covariance.py",
      "- ph[k] * lam2[n] * lam2[l]",
-     "+ ph[k] * lam2[n] * lam2[l]"),
+     "+ ph[k] * lam2[n] * lam2[l]", T_TRIADS),
 ]
 
 
@@ -86,15 +129,17 @@ def _apply(dest, path, old, new):
     return None
 
 
-def _killer(dest):
-    """The first failing test, else the first failing verify check, else None."""
+def _killer(dest, first):
+    """The first failing test of the file `first`, else of the whole suite,
+    else the first failing verify check, else None."""
     env = dict(os.environ, PYTHONPATH=str(dest / "src"))
-    tests = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-        cwd=dest, env=env, capture_output=True, text=True)
-    if tests.returncode != 0:
-        found = re.search(r"^(?:FAILED|ERROR) (\S+)", tests.stdout, re.MULTILINE)
-        return found.group(1) if found else f"pytest exit {tests.returncode}"
+    for scope in ([first], []):
+        tests = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *scope],
+            cwd=dest, env=env, capture_output=True, text=True)
+        if tests.returncode != 0:
+            found = re.search(r"^(?:FAILED|ERROR) (\S+)", tests.stdout, re.MULTILINE)
+            return found.group(1) if found else f"pytest exit {tests.returncode}"
     verify = subprocess.run(
         [sys.executable, "-c", "import sys; from wavecorr.cli import main; "
                                "sys.exit(main(['verify']))"],
@@ -108,13 +153,13 @@ def _killer(dest):
 
 def main():
     bad = 0
-    for name, path, old, new in MUTANTS:
+    for name, path, old, new, first in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="wavecorr-mutant-") as tmp:
             dest = Path(tmp)
             _copy_tree(dest)
             problem = _apply(dest, path, old, new)
-            killer = None if problem else _killer(dest)
+            killer = None if problem else _killer(dest, first)
         took = time.perf_counter() - start
         if problem:
             verdict = f"NOT APPLIED ({problem})"
@@ -123,7 +168,7 @@ def main():
         else:
             verdict = "SURVIVED"
         bad += problem is not None or killer is None
-        print(f"{name:28s} {verdict}  [{took:.1f} s]", flush=True)
+        print(f"{name:32s} {verdict}  [{took:.1f} s]", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

@@ -3,8 +3,8 @@ random dispersive waves (KdV, BBM, KP-I, KP-II) on the torus."""
 
 from .covariance import CovarianceReport, compare_prediction, g_table, mc_covariance
 from .dispersion import (
-    BBM, KDV, KPI, KPII, MODELS, DispersionModel, delta, delta_exact,
-    enumerate_triads, get_model, omega, omega_exact, phi,
+    BBM, KDV, KPI, KPII, MODELS, DispersionModel, delta_exact, enumerate_triads,
+    get_model, omega_exact,
 )
 from .field import (
     SpectralField, apply_semigroup, coefficient, field_from_modes, full_array,

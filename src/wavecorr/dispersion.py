@@ -14,6 +14,11 @@ nmax + 1.. of the full box |n_j| <= nmax; every stored-half table here is
 that slice of its full-box table.  The mode size |n| is always the l1
 size sum_j |n_j|.
 
+The full-box tables `omega_full` and `phi_full` are the one float form of
+the relation: every caller builds them from `_OMEGA` and `_PHI` when it
+needs them and keeps no copy, so a relation injected there reaches every
+path.  `omega_exact` and `delta_exact` are exact pointwise oracles.
+
 A triad is a pair (k, l) with k + l = n; its pulsation mismatch is
 delta = omega(k) + omega(l) - omega(n), computed directly from omega.  The
 factored rational forms are provided separately as test oracles only.
@@ -36,13 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "DispersionModel", "KDV", "BBM", "KPI", "KPII", "MODELS", "get_model",
-    "omega", "phi", "delta", "omega_exact", "delta_exact",
+    "omega_exact", "delta_exact",
     "bbm_delta_factored",
     "kp_delta_factored", "kpii_delta_bound",
     "stored_shape", "mode_grids", "mode_l1", "mode_list", "mode_label", "box_index",
@@ -76,8 +80,9 @@ def get_model(tag):
         raise ValueError(f"unknown model tag {tag!r}; expected one of {sorted(MODELS)}")
 
 
-# Dispatch tables are looked up at call time so tests can inject a perturbed
-# relation (the self-check suite relies on this seam).
+# Dispatch tables are looked up at call time, and nothing caches what they
+# give, so tests can inject a perturbed relation (the self-check suite relies
+# on this seam).
 
 def _omega_kdv(n1):
     return n1 * n1 * n1
@@ -111,50 +116,6 @@ _OMEGA = {"kdv": _omega_kdv, "bbm": _omega_bbm, "kpi": _omega_kpi, "kpii": _omeg
 _PHI = {"kdv": _phi_kdv, "bbm": _phi_bbm, "kpi": _phi_kp, "kpii": _phi_kp}
 
 
-def _components(model, n):
-    """Split a mode (or array of modes) into float component arrays.
-
-    d=1 accepts scalars or arrays of integers; d=2 accepts a pair (n1, n2)
-    or an array whose last axis has length 2.  Rejects non-integral
-    components (whole-number floats name their mode) and modes with zero
-    first component.
-    """
-    arr = np.asarray(n)
-    if model.dimension == 1:
-        if arr.dtype == object or (arr.ndim > 0 and arr.shape[-1] == 2 and arr.ndim > 1):
-            raise ValueError(f"{model.kind} is one-dimensional, got mode {n!r}")
-        comps = (arr.astype(float),)
-    else:
-        if arr.ndim == 0 or arr.shape[-1] != 2:
-            raise ValueError(f"{model.kind} modes need 2 components, got {n!r}")
-        comps = (arr[..., 0].astype(float), arr[..., 1].astype(float))
-    if not all(np.all(np.isfinite(c) & (np.floor(c) == c)) for c in comps):
-        raise ValueError(f"mode {n!r} is not a point of the integer lattice")
-    if np.any(comps[0] == 0):
-        raise ValueError("mode has zero first component (outside the active lattice)")
-    return comps
-
-
-def omega(model, n):
-    """Pulsation omega(n).  Odd in n; zero first components are rejected."""
-    out = _OMEGA[model.kind](*_components(model, n))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def phi(model, n):
-    """Nonlinearity multiplier phi(n).  Odd in n."""
-    out = np.asarray(_PHI[model.kind](*_components(model, n)), dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-def delta(model, n, k, l):
-    """Pulsation mismatch omega(k) + omega(l) - omega(n) for the triad k+l=n."""
-    na, ka, la = np.asarray(n), np.asarray(k), np.asarray(l)
-    if not np.array_equal(ka + la, na):
-        raise ValueError(f"triad constraint k+l=n violated: {k!r} + {l!r} != {n!r}")
-    return omega(model, k) + omega(model, l) - omega(model, n)
-
-
 def omega_exact(model, n):
     """omega(n) in exact rational arithmetic (single mode)."""
     n1, *rest = _lattice_point(model.dimension, n)
@@ -180,7 +141,7 @@ def delta_exact(model, n, k, l):
 
 # ---------------------------------------------------------------------------
 # Factored rational forms of delta.  These are independent oracles used by
-# the self-check suite and the tests; `delta` itself never uses them.
+# the self-check suite and the tests; the omega tables never use them.
 # ---------------------------------------------------------------------------
 
 def bbm_delta_factored(n, k, l):
@@ -441,10 +402,9 @@ def enumerate_triads(dim, nmax):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def max_abs_delta(model, nmax):
     """Largest |delta| over all triads of the truncation, the fastest phase
-    e^(i delta t): it bounds dt and sets the quadrature resolution (cached).
+    e^(i delta t): it bounds dt and sets the quadrature resolution.
     |delta| is symmetric in (k, l) and invariant under the map R of
     `_mirror`, so the unordered triads of the active modes with R n <= n
     suffice: for KP, those with n2 >= 0."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +58,7 @@ class StepAccuracyWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# Padded transforms (model independent, cached).
+# Padded transforms (model independent).
 # ---------------------------------------------------------------------------
 
 def padded_length(nmax):
@@ -74,45 +73,31 @@ def padded_length(nmax):
                if m >= n)
 
 
-class _Transform:
-    def __init__(self, dim, nmax):
-        self.dim, self.nmax = dim, nmax
-        self.n_grid = padded_length(nmax)
-
-    def square(self, coeffs):
-        """Fourier coefficients of the pointwise square, on the stored lattice."""
-        lead, n, m = coeffs.shape[:-self.dim], self.n_grid, self.nmax
-        if self.dim == 1:
-            half = np.zeros(lead + (m + 1,), dtype=complex)
-            half[..., 1:] = coeffs
-            phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
-            phys *= phys
-            return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
-        # stored [n1 - 1, n2 + m] is grid [n2 mod n, n1]: two slices per swapped grid
-        half = np.zeros(lead + (n, m + 1), dtype=complex)
-        grid = half.swapaxes(-1, -2)[..., 1:, :]
-        grid[..., :m + 1], grid[..., n - m:] = coeffs[..., m:], coeffs[..., :m]
-        phys = np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
+def _square(coeffs, dim, nmax, n):
+    """Fourier coefficients of the pointwise square on the stored lattice,
+    formed on n = padded_length(nmax) points per axis."""
+    lead, m = coeffs.shape[:-dim], nmax
+    if dim == 1:
+        half = np.zeros(lead + (m + 1,), dtype=complex)
+        half[..., 1:] = coeffs
+        phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
         phys *= phys
-        spec = np.fft.rfft(phys, axis=-1, norm="forward")[..., :m + 1]
-        grid = np.fft.fft(spec, axis=-2, norm="forward").swapaxes(-1, -2)[..., 1:, :]
-        out = np.empty(coeffs.shape, dtype=complex)
-        return np.concatenate((grid[..., n - m:], grid[..., :m + 1]), axis=-1, out=out)
-
-
-@lru_cache(maxsize=None)
-def _transform(dim, nmax):
-    return _Transform(dim, nmax)
+        return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
+    # stored [n1 - 1, n2 + m] is grid [n2 mod n, n1]: two slices per swapped grid
+    half = np.zeros(lead + (n, m + 1), dtype=complex)
+    grid = half.swapaxes(-1, -2)[..., 1:, :]
+    grid[..., :m + 1], grid[..., n - m:] = coeffs[..., m:], coeffs[..., :m]
+    phys = np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
+    phys *= phys
+    spec = np.fft.rfft(phys, axis=-1, norm="forward")[..., :m + 1]
+    grid = np.fft.fft(spec, axis=-2, norm="forward").swapaxes(-1, -2)[..., 1:, :]
+    out = np.empty(coeffs.shape, dtype=complex)
+    return np.concatenate((grid[..., n - m:], grid[..., :m + 1]), axis=-1, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Right-hand side and stepping on raw arrays.
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _i_omega_phi(model, nmax):
-    return 1j * dispersion.omega_grid(model, nmax), 1j * dispersion.phi_grid(model, nmax)
-
 
 def interaction_rhs(model, nmax):
     """The right-hand side rhs(eps, t, v) = -eps * S(-t) J((S(t) v)^2).
@@ -121,13 +106,14 @@ def interaction_rhs(model, nmax):
     or an array that broadcasts against `v` (one time per batch row).  The
     stepper passes the phase `e = exp(i omega t)` instead, and `t` is not read.
     """
-    tr = _transform(model.dimension, nmax)
-    i_om, i_ph = _i_omega_phi(model, nmax)
+    dim, n = model.dimension, padded_length(nmax)
+    i_om = 1j * dispersion.omega_grid(model, nmax)
+    i_ph = 1j * dispersion.phi_grid(model, nmax)
 
     def rhs(eps, t, v, e=None):
         if e is None:
             e = np.exp(i_om * t)
-        return (-eps) * i_ph * np.conj(e) * tr.square(v * e)
+        return (-eps) * i_ph * np.conj(e) * _square(v * e, dim, nmax, n)
     return rhs
 
 
@@ -192,7 +178,7 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
             "expect degraded accuracy on the highest modes",
             StepAccuracyWarning, stacklevel=2)
     rhs = interaction_rhs(model, nmax)
-    i_om = _i_omega_phi(model, nmax)[0]
+    i_om = 1j * dispersion.omega_grid(model, nmax)
 
     lead = shape[:-dim]
     v = np.array(coeffs, dtype=complex)
@@ -247,7 +233,8 @@ def dealiased_square(field):
     square) is not representable and is dropped, which matches its fate
     under the subsequent application of J.
     """
-    return field.with_coeffs(_transform(field.dimension, field.nmax).square(field.coeffs))
+    nmax = field.nmax
+    return field.with_coeffs(_square(field.coeffs, field.dimension, nmax, padded_length(nmax)))
 
 
 def conserved_functional(model, physical_field):

@@ -209,8 +209,9 @@ class TestPredict:
     def bbm_rate(spec, n, taus):
         """dG_n/dt at kurtosis 2, triad by triad: 4 phi(n) sin(delta tau)/delta times
         the equilibrium bracket (BBM has no zero delta)."""
-        om = {m: dsp.omega(dsp.BBM, m) for m in range(-spec.nmax, spec.nmax + 1) if m}
-        ph = {m: dsp.phi(dsp.BBM, m) for m in om}
+        om_table, ph_table = dsp.omega_full(dsp.BBM, spec.nmax), dsp.phi_full(dsp.BBM, spec.nmax)
+        om = {m: om_table[m + spec.nmax] for m in range(-spec.nmax, spec.nmax + 1) if m}
+        ph = {m: ph_table[m + spec.nmax] for m in om}
         lam2 = {m: spec.lambda_sq[abs(m) - 1] for m in om}
         rate = np.zeros_like(taus)
         for k in om:
@@ -482,14 +483,23 @@ class TestVerify:
         assert not results["delta-oracles"][0]
         assert run_cli(tmp_path, "verify") == 1
 
+    def test_undone_injection_leaves_no_stale_relation(self, monkeypatch):
+        # every path reads the relation when it runs, so once an injected
+        # relation is undone no table, bound or right-hand side still has it
+        monkeypatch.setitem(dsp._OMEGA, "bbm", lambda n1: n1 / (1.0 + n1 * n1))
+        monkeypatch.setitem(dsp._OMEGA, "kdv", lambda n1: 2.0 * n1 * n1 * n1)
+        cli.verify_all()
+        assert dsp.max_abs_delta(dsp.KDV, 6) == 324.0
+        monkeypatch.undo()
+        results = {name: (ok, detail) for name, ok, detail in cli.verify_all()}
+        assert len(results) == 7
+        assert all(ok for ok, _ in results.values()), results
+        assert dsp.max_abs_delta(dsp.KDV, 6) == 162.0
+
     def test_short_padding_fails_the_convolution_check(self, monkeypatch):
         # 3*nmax points let a product of two retained modes wrap onto one
         monkeypatch.setattr(solver, "padded_length", lambda nmax: 3 * nmax)
-        solver._transform.cache_clear()
-        try:
-            results = {name: ok for name, ok, _ in cli.verify_all()}
-        finally:
-            solver._transform.cache_clear()
+        results = {name: ok for name, ok, _ in cli.verify_all()}
         assert not results["dealias-convolution"]
 
     def test_console_entry_point(self, tmp_path):

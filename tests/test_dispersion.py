@@ -15,96 +15,121 @@ def triad_modes(dim, nmax):
     return tuple(full[i] for i in dsp.enumerate_triads(dim, nmax))
 
 
+def at(table, model, nmax, mode):
+    """The entry of a full-box table (omega_full, phi_full) at one mode."""
+    return table(model, nmax)[dsp.box_index(model.dimension, nmax, mode)]
+
+
+def table_delta(model, nmax, n, k, l):
+    """delta of the triad k + l = n, read from the omega table of the nmax box."""
+    om = dsp.omega_full(model, nmax)
+    k, l, n = (om[dsp.box_index(model.dimension, nmax, m)] for m in (k, l, n))
+    return k + l - n
+
+
+def triad_deltas(model, nmax):
+    """delta of every triad of `enumerate_triads`, read from the flat omega table."""
+    om = dsp.omega_full(model, nmax).ravel()
+    n, k, l = dsp.enumerate_triads(model.dimension, nmax)
+    return om[k] + om[l] - om[n]
+
+
 class TestOmegaPhi:
     def test_catalog_values(self):
-        assert dsp.omega(dsp.KDV, 2) == 8.0
-        assert dsp.omega(dsp.BBM, 1) == -0.5
-        assert dsp.omega(dsp.KPII, (2, 1)) == 8.0 - 0.5
-        assert dsp.omega(dsp.KPI, (2, 1)) == 8.0 + 0.5
-        assert dsp.phi(dsp.KPI, (3, -7)) == 3.0
-        assert dsp.phi(dsp.BBM, 2) == pytest.approx(0.4, abs=0)
-        assert dsp.phi(dsp.KDV, -1) == -1.0
+        assert at(dsp.omega_full, dsp.KDV, 8, 2) == 8.0
+        assert at(dsp.omega_full, dsp.BBM, 8, 1) == -0.5
+        assert at(dsp.omega_full, dsp.KPII, 8, (2, 1)) == 8.0 - 0.5
+        assert at(dsp.omega_full, dsp.KPI, 8, (2, 1)) == 8.0 + 0.5
+        assert at(dsp.phi_full, dsp.KPI, 8, (3, -7)) == 3.0
+        assert at(dsp.phi_full, dsp.BBM, 8, 2) == pytest.approx(0.4, abs=0)
+        assert at(dsp.phi_full, dsp.KDV, 8, -1) == -1.0
 
     def test_oddness(self):
         rng = np.random.default_rng(0)
         for model in dsp.MODELS.values():
+            om, ph = dsp.omega_full(model, 40), dsp.phi_full(model, 40)
             for _ in range(50):
                 if model.dimension == 1:
-                    n = int(rng.integers(1, 40)) * int(rng.choice([-1, 1]))
-                    neg = -n
+                    n = (int(rng.integers(1, 40)) * int(rng.choice([-1, 1])),)
                 else:
                     n = (int(rng.integers(1, 40)) * int(rng.choice([-1, 1])),
                          int(rng.integers(-40, 41)))
-                    neg = (-n[0], -n[1])
-                assert dsp.omega(model, neg) == pytest.approx(-dsp.omega(model, n), rel=1e-15)
-                assert dsp.phi(model, neg) == pytest.approx(-dsp.phi(model, n), rel=1e-15)
+                pos, neg = (tuple(s * c + 40 for c in n) for s in (1, -1))
+                assert om[neg] == pytest.approx(-om[pos], rel=1e-15)
+                assert ph[neg] == pytest.approx(-ph[pos], rel=1e-15)
+
+    @pytest.mark.parametrize("model", list(dsp.MODELS.values()), ids=list(dsp.MODELS))
+    def test_tables_exactly_odd(self, model):
+        # n -> -n reverses every axis of the box; the zero column stays 0
+        for table in (dsp.omega_full, dsp.phi_full):
+            values = table(model, 12)
+            assert np.array_equal(np.flip(values), -values)
 
     def test_zero_first_component_rejected(self):
         with pytest.raises(ValueError):
-            dsp.omega(dsp.KDV, 0)
+            dsp.omega_exact(dsp.KDV, 0)
         with pytest.raises(ValueError):
-            dsp.omega(dsp.KPII, (0, 3))
+            dsp.omega_exact(dsp.KPII, (0, 3))
         with pytest.raises(ValueError):
-            dsp.phi(dsp.KPI, (0, -1))
+            dsp.delta_exact(dsp.KPI, (1, 2), (0, -1), (1, 3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            dsp.omega(dsp.KPII, 3)
+            dsp.omega_exact(dsp.KPII, 3)
         with pytest.raises(ValueError):
-            dsp.omega(dsp.KDV, np.array([[1, 2]]))
+            dsp.omega_exact(dsp.KDV, np.array([[1, 2]]))
+        with pytest.raises(ValueError):
+            dsp.box_index(2, 4, 3)
 
     @pytest.mark.parametrize("model,mode", [
         (dsp.KDV, 2.5), (dsp.BBM, [1, 2.5]), (dsp.KPI, (2.7, 1.2)), (dsp.KPII, (2, 0.5)),
         (dsp.KDV, np.nan), (dsp.KPI, (np.inf, 1))])
     def test_non_integral_mode_rejected(self, model, mode):
         # truncating 2.5 to 2 would answer about another mode
-        for func in (dsp.omega, dsp.phi):
-            with pytest.raises(ValueError, match="integer lattice"):
-                func(model, mode)
-        if np.ndim(mode) == model.dimension - 1:  # the exact oracle takes one mode
-            with pytest.raises(ValueError, match="integer lattice"):
-                dsp.omega_exact(model, mode)
+        with pytest.raises(ValueError, match="integer lattice"):
+            dsp.omega_exact(model, mode)
+        with pytest.raises(ValueError, match="integer lattice"):
+            dsp.box_index(model.dimension, 8, mode)
 
     def test_whole_number_floats_name_their_mode(self):
-        assert dsp.omega(dsp.KDV, 2.0) == dsp.omega_exact(dsp.KDV, 2.0) == 8
+        assert at(dsp.omega_full, dsp.KDV, 4, 2.0) == dsp.omega_exact(dsp.KDV, 2.0) == 8
         assert dsp.omega_exact(dsp.KPI, (2.0, 1.0)) == Fraction(17, 2)
-        assert dsp.phi(dsp.KPII, np.array([[3.0, -1.0]])).tolist() == [3.0]
+        assert at(dsp.phi_full, dsp.KPII, 4, np.array([[3.0, -1.0]])) == 3.0
 
     def test_vectorized_matches_scalar(self):
         ns = np.array([1, -2, 5, 17])
-        vals = dsp.omega(dsp.BBM, ns)
-        assert np.allclose(vals, [dsp.omega(dsp.BBM, int(n)) for n in ns], rtol=0)
+        vals = dsp.omega_full(dsp.BBM, 17)[ns + 17]
+        assert np.allclose(vals, [float(dsp.omega_exact(dsp.BBM, int(n))) for n in ns], rtol=0)
 
 
 class TestDelta:
     def test_bbm_example(self):
         # -1/2 - 2/5 + 3/10 = -0.6
-        assert dsp.delta(dsp.BBM, 3, 1, 2) == pytest.approx(-0.6, rel=1e-14)
+        assert table_delta(dsp.BBM, 3, 3, 1, 2) == pytest.approx(-0.6, rel=1e-14)
 
     def test_kpii_one_dimensional_triad(self):
         # k^3 + l^3 - n^3 = -3 k1 l1 n1 on transverse-free triads
-        assert dsp.delta(dsp.KPII, (3, 0), (1, 0), (2, 0)) == -18.0
+        assert table_delta(dsp.KPII, 3, (3, 0), (1, 0), (2, 0)) == -18.0
 
     def test_kpi_pell_triad(self):
-        got = dsp.delta(dsp.KPI, (8, 15), (1, 14), (7, 1))
+        got = table_delta(dsp.KPI, 15, (8, 15), (1, 14), (7, 1))
         assert got == pytest.approx(1.0 / 56.0, rel=1e-12)
         assert dsp.delta_exact(dsp.KPI, (8, 15), (1, 14), (7, 1)) == Fraction(1, 56)
         assert 97 ** 2 - 3 * 56 ** 2 == 1  # the Pell pair behind the 1/56 divisor
 
     def test_triad_constraint_enforced(self):
         with pytest.raises(ValueError):
-            dsp.delta(dsp.KDV, 4, 1, 2)
+            dsp.delta_exact(dsp.KDV, 4, 1, 2)
         with pytest.raises(ValueError):
             dsp.delta_exact(dsp.KPII, (3, 1), (1, 0), (2, 0))
 
     def test_non_integral_triad_rejected(self):
         # 1.5 + 2.0 = 3.5 satisfies the constraint; truncation gave -18, not -31.5
-        for func in (dsp.delta, dsp.delta_exact):
-            with pytest.raises(ValueError, match="integer lattice"):
-                func(dsp.KDV, 3.5, 1.5, 2.0)
-            with pytest.raises(ValueError, match="integer lattice"):
-                func(dsp.KPI, (3.5, 1), (1.5, 0), (2, 1))
-        assert dsp.delta_exact(dsp.KDV, 3.0, 1.0, 2.0) == dsp.delta(dsp.KDV, 3.0, 1.0, 2.0) == -18
+        with pytest.raises(ValueError, match="integer lattice"):
+            dsp.delta_exact(dsp.KDV, 3.5, 1.5, 2.0)
+        with pytest.raises(ValueError, match="integer lattice"):
+            dsp.delta_exact(dsp.KPI, (3.5, 1), (1.5, 0), (2, 1))
+        assert dsp.delta_exact(dsp.KDV, 3.0, 1.0, 2.0) == table_delta(dsp.KDV, 3, 3.0, 1.0, 2.0) == -18
 
     def test_exact_matches_float(self):
         rng = np.random.default_rng(3)
@@ -121,7 +146,8 @@ class TestDelta:
                     l = (int(rng.integers(1, 9)), int(rng.integers(-8, 9)))
                     n = (k[0] + l[0], k[1] + l[1])
                 exact = float(dsp.delta_exact(model, n, k, l))
-                assert dsp.delta(model, n, k, l) == pytest.approx(exact, rel=1e-12, abs=1e-15)
+                got = table_delta(model, 16, n, k, l)
+                assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
 class TestFactoredOracles:
@@ -130,9 +156,11 @@ class TestFactoredOracles:
         vals = np.concatenate([np.arange(-16, 0), np.arange(1, 17)])
         k, l = np.meshgrid(vals, vals, indexing="ij")
         keep = (k + l) != 0
-        k, l = k[keep].astype(float), l[keep].astype(float)
+        k, l = k[keep], l[keep]
         n = k + l
-        d = (dsp.omega(dsp.BBM, k) + dsp.omega(dsp.BBM, l) - dsp.omega(dsp.BBM, n))
+        om = dsp.omega_full(dsp.BBM, 32)
+        d = om[k + 32] + om[l + 32] - om[n + 32]
+        n, k, l = (a.astype(float) for a in (n, k, l))
         mag = np.abs(dsp.bbm_delta_factored(n, k, l))
         assert np.min(np.abs(d)) > 0
         assert np.max(np.abs(np.abs(d) - mag) / mag) < 1e-12
@@ -141,7 +169,7 @@ class TestFactoredOracles:
 
     def test_kpii_lower_bound_with_equality_on_1d_triads(self):
         n, k, l = triad_modes(2, 8)
-        d = dsp.delta(dsp.KPII, n, k, l)
+        d = triad_deltas(dsp.KPII, 8)
         ratio = np.abs(d) / dsp.kpii_delta_bound(n, k, l)
         assert np.all(ratio >= 1.0 - 1e-12)
         flat = (k[:, 1] == 0) & (l[:, 1] == 0)
@@ -149,13 +177,13 @@ class TestFactoredOracles:
 
     def test_kpi_factored_identity(self):
         n, k, l = triad_modes(2, 8)
-        d = dsp.delta(dsp.KPI, n, k, l)
+        d = triad_deltas(dsp.KPI, 8)
         ref = dsp.kp_delta_factored(dsp.KPI, n, k, l)
         assert np.max(np.abs(d - ref) / np.abs(ref)) < 1e-12
 
     def test_kdv_integer_divisors(self):
         n, k, l = triad_modes(1, 16)
-        d = dsp.delta(dsp.KDV, n[:, 0], k[:, 0], l[:, 0])
+        d = triad_deltas(dsp.KDV, 16)
         expected = -3.0 * n[:, 0] * k[:, 0] * l[:, 0]
         assert np.array_equal(d, expected)
         assert np.min(np.abs(d)) >= 6.0
@@ -179,7 +207,7 @@ class TestLattice:
         ph = dsp.phi_full(dsp.KPII, 4)
         assert np.all(om[4, :] == 0.0)
         assert np.all(ph[4, :] == 0.0)
-        assert om[4 + 2, 4 + 1] == dsp.omega(dsp.KPII, (2, 1))
+        assert om[4 + 2, 4 + 1] == float(dsp.omega_exact(dsp.KPII, (2, 1)))
 
     @pytest.mark.parametrize("block", [None, 40], ids=["default-block", "small-block"])
     def test_triad_blocks_order_and_block_rule(self, monkeypatch, block):

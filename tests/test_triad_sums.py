@@ -36,10 +36,6 @@ def assert_close(got, want):
     assert np.all(np.abs(got - want) <= bound)
 
 
-def label(model, mode):
-    return mode[0] if model.dimension == 1 else mode
-
-
 def triads(nmax, n):
     """Every (k, l) with k + l = n, both active and inside the box."""
     for k in itertools.product(range(-nmax, nmax + 1), repeat=len(n)):
@@ -53,16 +49,19 @@ def stored(model, nmax):
 
 
 class Loop:
-    """Scalar evaluations of omega, phi and |lambda|^2 for one configuration."""
+    """Scalar reads of omega, phi and |lambda|^2 for one configuration.  The
+    omega and phi tables are read when a Loop is built: inject a relation first."""
 
     def __init__(self, model, spectrum):
-        self.model, self.spec = model, spectrum
+        self.spec = spectrum
+        self.omega = dsp.omega_full(model, spectrum.nmax)
+        self.phi = dsp.phi_full(model, spectrum.nmax)
 
     def om(self, m):
-        return dsp.omega(self.model, label(self.model, m))
+        return self.omega[tuple(c + self.spec.nmax for c in m)]
 
     def ph(self, m):
-        return dsp.phi(self.model, label(self.model, m))
+        return self.phi[tuple(c + self.spec.nmax for c in m)]
 
     def lam2(self, m):
         if m[0] < 0:
@@ -123,16 +122,16 @@ G_IDS = IDS + ["kpii-tilted", "kpi-tilted", "kpi-odd-in-n2"]
 def g_setup(model, nmax, variant, monkeypatch):
     """setup(), with a spectrum whose lambda(n1, n2) != lambda(n1, -n2) when
     `variant` is "tilted", or omega odd in n2 injected when "odd-in-n2"."""
+    if variant == "odd-in-n2":
+        monkeypatch.setitem(dsp._OMEGA, model.kind, kp_odd_in_n2)
+        om = dsp.omega_full(model, nmax)
+        assert not np.array_equal(om, om[:, ::-1])
     spec, loop = setup(model, nmax)
     if variant == "tilted":
         table = np.random.default_rng(8).uniform(0.5, 1.5, spec.table.shape)
         assert not np.allclose(table, table[:, ::-1])
         spec = smp.SpectrumProfile("tilted", None, nmax, 2, table)
         loop = Loop(model, spec)
-    elif variant == "odd-in-n2":
-        monkeypatch.setitem(dsp._OMEGA, model.kind, kp_odd_in_n2)
-        om = dsp.omega_full(model, nmax)
-        assert not np.array_equal(om, om[:, ::-1])
     return spec, loop
 
 
