@@ -62,13 +62,28 @@ MUTANTS = [
      "    if dim == 2:\n        i_om[0] = np.roll(i_om[0], 1)\n", T_SOLVER),
     # the right-hand side of each mode written to its neighbour
     ("rhs-shifted-one-mode", SOLVER,
-     "        return (-eps) * i_ph * np.conj(e) * _square(v * e, dim, nmax, n)\n",
-     "        return np.roll((-eps) * i_ph * np.conj(e) * _square(v * e, dim, nmax, n), 1, axis=-1)\n",
+     "        return (-eps) * i_ph * np.conj(e) * square(v * e)\n",
+     "        return np.roll((-eps) * i_ph * np.conj(e) * square(v * e), 1, axis=-1)\n",
      T_SOLVER),
-    # the n2 < 0 rows of the 2-d square scattered one grid row low
-    ("2d-scatter-row-off-by-one", SOLVER,
-     "grid[..., n - m:] = coeffs",
-     "grid[..., n - m - 1:-1] = coeffs", T_SOLVER),
+    # the n2 = -nmax row pair of the 2-d to-grid matrix moved one place
+    ("2d-to-grid-row-moved", SOLVER,
+     "    from_x2 = np.ascontiguousarray(to_x2.T / (n * n))\n",
+     "    from_x2 = np.ascontiguousarray(to_x2.T / (n * n))\n"
+     "    to_x2[:4] = to_x2[[2, 3, 0, 1]]\n", T_SOLVER),
+    # the imaginary block of the 2-d x2 -> n2 matrix with its sign flipped
+    ("2d-from-grid-imag-sign-flip", SOLVER,
+     "    from_x2 = np.ascontiguousarray(to_x2.T / (n * n))\n",
+     "    from_x2 = np.ascontiguousarray(to_x2.T / (n * n))\n"
+     "    from_x2[n:] *= -1.0\n", T_SOLVER),
+    # the 2-d n1 -> x1 fold as Re alone, without the conjugate half's factor 2
+    ("2d-fold-without-factor-2", SOLVER,
+     "(2.0 * c.T, -2.0 * s.T)",
+     "(c.T, -s.T)", T_SOLVER),
+    # the 2-d batch folded into one GEMM, whose rounding depends on its size
+    ("2d-batch-in-one-gemm", SOLVER,
+     "        grid = (np.ascontiguousarray(coeffs).view(float) @ to_x2)",
+     "        grid = (np.ascontiguousarray(coeffs).view(float).reshape(-1, to_x2.shape[0])"
+     " @ to_x2)", T_SOLVER),
     # a cached bound keeps the relation it first saw after an injection is undone
     ("max-abs-delta-cached", DISPERSION,
      "def max_abs_delta(model, nmax):\n",

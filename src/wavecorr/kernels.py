@@ -46,7 +46,10 @@ def f_kernel(delta, t):
     """
     def exact(x, d):
         half = 0.5 * x
-        return 2.0 * np.sin(half) * np.exp(1j * half) / d
+        e = np.exp(1j * half)  # scaled in place
+        e *= 2.0 * np.sin(half)
+        e /= d
+        return e
 
     def series(x, t):
         z = 1j * x

@@ -10,10 +10,12 @@ the classical RK4 step sees only the slow nonlinear dynamics and there is
 no CFL constraint from the dispersion.  The phases come from one exponential
 per segment of equal steps and the per-step recurrence e(t + h) = e(t) e(h),
 which moves results by rounding only.  Quadratic products are always formed
-on a zero-padded grid of the smallest 5-smooth length N >= 3*nmax + 1 per
-axis (the 3/2 rule), which makes the retained convolution exact
-(alias-free); accuracy of the nonlinear phases still requires
-dt * max|delta| of order one, which is surfaced as a warning, not enforced.
+on a zero-padded grid of N = padded_length(nmax) points per axis, the
+smallest 5-smooth N >= 3*nmax + 1 (the 3/2 rule), which makes the retained
+convolution exact (alias-free): with the real FFT in 1-d, and with dense DFT
+matrices on the same N points in 2-d; accuracy of the nonlinear phases still
+requires dt * max|delta| of order one, which is surfaced as a warning, not
+enforced.
 
 The stepping core works on coefficient arrays with arbitrary leading batch
 axes; distinct trajectories share no mutable state.
@@ -62,10 +64,11 @@ class StepAccuracyWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 def padded_length(nmax):
-    """FFT points per axis for the quadratic products of an nmax truncation.
+    """Grid points per axis for the quadratic products of an nmax truncation.
 
     The 3/2 rule: on N >= 3*nmax + 1 points no product of two retained
-    modes wraps onto a retained mode; the smallest 5-smooth such N is fast.
+    modes wraps onto a retained mode; the smallest 5-smooth such N keeps
+    the 1-d FFT fast.
     """
     n = 3 * nmax + 1
     span = range(n.bit_length() + 1)
@@ -73,26 +76,63 @@ def padded_length(nmax):
                if m >= n)
 
 
-def _square(coeffs, dim, nmax, n):
-    """Fourier coefficients of the pointwise square on the stored lattice,
-    formed on n = padded_length(nmax) points per axis."""
-    lead, m = coeffs.shape[:-dim], nmax
+def _dft_matrices(nmax, n):
+    """The four real matrices of the 2-d square on n points per axis.
+
+    A complex array enters and leaves as its float view, (re, im)
+    interleaved on the last axis; in between, each n1 row holds its real
+    and imaginary parts as two blocks of n grid values.  In order of use:
+    stored n2 -> x2, n1 -> x1 with the conjugate half folded in as 2 Re,
+    x1 -> n1 and x2 -> n2; the last carries both 1/n factors.
+    """
+    def cos_sin(modes):  # of 2 pi k j / n over (mode k, grid point j)
+        angle = (2.0 * np.pi / n) * (np.outer(modes, np.arange(n)) % n)
+        return np.cos(angle), np.sin(angle)
+    c, s = cos_sin(np.arange(-nmax, nmax + 1))
+    to_x2 = np.stack((np.hstack((c, s)), np.hstack((-s, c))), axis=1).reshape(-1, 2 * n)
+    c, s = cos_sin(np.arange(1, nmax + 1))
+    to_x1 = np.stack((2.0 * c.T, -2.0 * s.T), axis=-1).reshape(n, 2 * nmax)
+    from_x1 = np.ascontiguousarray(0.5 * to_x1.T)
+    from_x2 = np.ascontiguousarray(to_x2.T / (n * n))
+    return to_x2, to_x1, from_x1, from_x2
+
+
+def _squarer(dim, nmax):
+    """The pointwise square on the stored lattice, as a function of the
+    coefficients, formed on n = padded_length(nmax) points per axis.
+
+    1-d squares with the real FFT.  2-d squares with the dense DFT as four
+    real matrix products (`_dft_matrices`, built anew on every call): on
+    the small grids of the 2-d runs the call overhead of the FFT outweighs
+    its arithmetic.  Against the 2-d FFT, one square took 0.24 of its time
+    at nmax=8 (0.32 in a batch of 128), 0.4 (0.6) at nmax=16 and about the
+    same at nmax=32; from nmax=40 to 64 it is 1.2-2.5x slower, and slower
+    still when OpenBLAS threads share their cores with other work.
+    `np.matmul` runs one GEMM per stacked matrix, so each batch row gets the
+    bits it gets alone.  1-d keeps the FFT: there one GEMM would span the
+    whole batch and round each row by the batch size (at nmax=5, batches of
+    1, 2, 3, 5, 7 and 9 rows differed from the same rows of 300), and in
+    batches of 256 it took 0.8-1.2 of the FFT's time from nmax=32 on.
+    """
+    n, m = padded_length(nmax), nmax
     if dim == 1:
-        half = np.zeros(lead + (m + 1,), dtype=complex)
-        half[..., 1:] = coeffs
-        phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
+        def square(coeffs):
+            half = np.zeros(coeffs.shape[:-1] + (m + 1,), dtype=complex)
+            half[..., 1:] = coeffs
+            phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
+            phys *= phys
+            return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
+        return square
+    to_x2, to_x1, from_x1, from_x2 = _dft_matrices(m, n)
+
+    def square(coeffs):
+        lead = coeffs.shape[:-2]
+        grid = (np.ascontiguousarray(coeffs).view(float) @ to_x2).reshape(lead + (2 * m, n))
+        phys = to_x1 @ grid
         phys *= phys
-        return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
-    # stored [n1 - 1, n2 + m] is grid [n2 mod n, n1]: two slices per swapped grid
-    half = np.zeros(lead + (n, m + 1), dtype=complex)
-    grid = half.swapaxes(-1, -2)[..., 1:, :]
-    grid[..., :m + 1], grid[..., n - m:] = coeffs[..., m:], coeffs[..., :m]
-    phys = np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
-    phys *= phys
-    spec = np.fft.rfft(phys, axis=-1, norm="forward")[..., :m + 1]
-    grid = np.fft.fft(spec, axis=-2, norm="forward").swapaxes(-1, -2)[..., 1:, :]
-    out = np.empty(coeffs.shape, dtype=complex)
-    return np.concatenate((grid[..., n - m:], grid[..., :m + 1]), axis=-1, out=out)
+        grid = (from_x1 @ phys).reshape(lead + (m, 2 * n))
+        return (grid @ from_x2).view(complex)
+    return square
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +146,14 @@ def interaction_rhs(model, nmax):
     or an array that broadcasts against `v` (one time per batch row).  The
     stepper passes the phase `e = exp(i omega t)` instead, and `t` is not read.
     """
-    dim, n = model.dimension, padded_length(nmax)
+    square = _squarer(model.dimension, nmax)
     i_om = 1j * dispersion.omega_grid(model, nmax)
     i_ph = 1j * dispersion.phi_grid(model, nmax)
 
     def rhs(eps, t, v, e=None):
         if e is None:
             e = np.exp(i_om * t)
-        return (-eps) * i_ph * np.conj(e) * _square(v * e, dim, nmax, n)
+        return (-eps) * i_ph * np.conj(e) * square(v * e)
     return rhs
 
 
@@ -227,14 +267,14 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
 def dealiased_square(field):
     """Coefficients of the pointwise square on the stored lattice.
 
-    The product is formed on the smallest 5-smooth grid of N >= 3*nmax + 1
-    points per axis (the 3/2 rule), so it is the exact convolution for every
+    The product is formed on N = padded_length(nmax) points per axis, the
+    smallest 5-smooth N >= 3*nmax + 1 (the 3/2 rule), by the real FFT in 1-d
+    and by DFT matrices in 2-d, so it is the exact convolution for every
     retained mode; the n1 = 0 output content (e.g. the constant part of the
     square) is not representable and is dropped, which matches its fate
     under the subsequent application of J.
     """
-    nmax = field.nmax
-    return field.with_coeffs(_square(field.coeffs, field.dimension, nmax, padded_length(nmax)))
+    return field.with_coeffs(_squarer(field.dimension, field.nmax)(field.coeffs))
 
 
 def conserved_functional(model, physical_field):

@@ -55,7 +55,7 @@ class TestDealiasedSquare:
     # wrap onto a stored mode, which it would on 3*nmax points
     @pytest.mark.parametrize("dim,nmax,modes", [
         *(pytest.param(1, n, None, id=f"1-{n}") for n in range(1, 11)),
-        *(pytest.param(2, n, None, id=f"2-{n}") for n in range(1, 6)),
+        *(pytest.param(2, n, None, id=f"2-{n}") for n in range(1, 9)),
         pytest.param(1, 5, {5: 1.0}, id="1-5-top-mode")])
     def test_convolution_oracle(self, dim, nmax, modes):
         if modes is None:
@@ -73,27 +73,16 @@ class TestDealiasedSquare:
         exact = slv.dealiased_square(f)
         assert fld.coefficient(exact, 2) == pytest.approx(0.0, abs=1e-14)
 
-    # nmax=1 pads to 4 points, so the n2 >= 0 rows {0, 1} and the n2 < 0 row
-    # {3} of the grid leave a single zero row between them
     @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
     def test_2d_batch_rows_bitwise_and_contiguous(self, nmax):
         batch = np.stack([steep_field(2, nmax, seed=30 + s, rate=0.3).coeffs
                           for s in range(6)]).reshape((2, 3) + dsp.stored_shape(2, nmax))
-        n = slv.padded_length(nmax)
-        out = slv._square(batch, 2, nmax, n)
+        out = slv._squarer(2, nmax)(batch)
         assert out.shape == batch.shape and out.flags.c_contiguous
-        # the scatter and gather as fancy indices over (n2 mod N, n1)
-        rows = (np.arange(-nmax, nmax + 1) % n)[None, :]
-        cols = np.arange(1, nmax + 1)[:, None]
         for i, j in itertools.product(range(2), range(3)):
             alone = slv.dealiased_square(fld.SpectralField(nmax, batch[i, j]))
             assert alone.coeffs.flags.c_contiguous
             assert np.array_equal(out[i, j], alone.coeffs)
-            half = np.zeros((n, nmax + 1), dtype=complex)
-            half[rows, cols] = batch[i, j]
-            phys = np.fft.irfft2(half, s=(n, n), norm="forward")
-            spec = np.fft.rfft(phys * phys, axis=-1, norm="forward")[..., :nmax + 1]
-            assert np.array_equal(out[i, j], np.fft.fft(spec, axis=-2, norm="forward")[rows, cols])
 
 
 class TestNonlinearRhs:
@@ -416,6 +405,18 @@ class TestBatchedCore:
         assert np.array_equal(final[0], sa.coeffs)
         assert np.array_equal(final[1], sb.coeffs)
         assert alive.all()
+
+    # run.batch's default; each stacked row of the 2-d square's products is
+    # one GEMM of its own, at every batch size
+    @pytest.mark.parametrize("model,nmax", [(dsp.KPI, 16), (dsp.KPII, 3)], ids=["kpi", "kpii"])
+    def test_2d_batch_of_128_rows_solves_bitwise_alone(self, model, nmax):
+        batch = np.stack([steep_field(2, nmax, seed=100 + s, rate=0.3).coeffs
+                          for s in range(128)])
+        final, _, alive, _ = slv.evolve_array(model, 0.5, batch, 5e-4, 1e-3)
+        assert alive.all()
+        for row in range(batch.shape[0]):
+            alone, _, _, _ = slv.evolve_array(model, 0.5, batch[row], 5e-4, 1e-3)
+            assert np.array_equal(final[row], alone), row
 
     def test_partial_blow_up_isolated(self):
         good = steep_field(1, 6, seed=22)
