@@ -53,18 +53,18 @@ MUTANTS = [
      "np.exp(i_om * h)", T_SOLVER),
     # each step hands its half-step phase on as the next step's start
     ("hands-on-half-step-phase", SOLVER,
-     "t_now, e0 = t_seg + i * h, e1\n",
-     "t_now, e0 = t_seg + i * h, e1 if i == 0 else e0 * half\n", T_SOLVER),
+     "t_now, e0, f0 = t_seg + i * h, e1, f1\n",
+     "t_now, (e0, f0) = t_seg + i * h, (e1, f1) if i == 0 else (e_half, f_half)\n",
+     T_SOLVER),
     # the stepper's n1 = 1 phase row rolled one n2 place in 2-d
     ("kp-phase-row-rolled", SOLVER,
-     "    rhs = interaction_rhs(model, nmax)\n    i_om = 1j * dispersion.omega_grid(model, nmax)\n",
-     "    rhs = interaction_rhs(model, nmax)\n    i_om = 1j * dispersion.omega_grid(model, nmax)\n"
-     "    if dim == 2:\n        i_om[0] = np.roll(i_om[0], 1)\n", T_SOLVER),
+     "    i_om = 1j * dispersion.omega_grid(model, nmax)\n    v = np.array(",
+     "    i_om = 1j * dispersion.omega_grid(model, nmax)\n"
+     "    if dim == 2:\n        i_om[0] = np.roll(i_om[0], 1)\n    v = np.array(", T_SOLVER),
     # the right-hand side of each mode written to its neighbour
     ("rhs-shifted-one-mode", SOLVER,
-     "        return (-eps) * i_ph * np.conj(e) * square(v * e)\n",
-     "        return np.roll((-eps) * i_ph * np.conj(e) * square(v * e), 1, axis=-1)\n",
-     T_SOLVER),
+     "        np.multiply(f, square(w, e), out=k)\n",
+     "        k[...] = np.roll(f * square(w, e), 1, axis=-1)\n", T_SOLVER),
     # the n2 = -nmax row pair of the 2-d to-grid matrix moved one place
     ("2d-to-grid-row-moved", SOLVER,
      "    from_x2 = np.ascontiguousarray(to_x2.T / (n * n))\n",
@@ -81,9 +81,17 @@ MUTANTS = [
      "(c.T, -s.T)", T_SOLVER),
     # the 2-d batch folded into one GEMM, whose rounding depends on its size
     ("2d-batch-in-one-gemm", SOLVER,
-     "        grid = (np.ascontiguousarray(coeffs).view(float) @ to_x2)",
-     "        grid = (np.ascontiguousarray(coeffs).view(float).reshape(-1, to_x2.shape[0])"
-     " @ to_x2)", T_SOLVER),
+     "np.multiply(v, e, out=ve).view(float), to_x2, out=grid)",
+     "np.multiply(v, e, out=ve).view(float).reshape(-1, to_x2.shape[0]), to_x2,"
+     " out=grid.reshape(-1, 2 * n))", T_SOLVER),
+    # one 2-d product allocates its result instead of writing its buffer
+    ("2d-product-allocates", SOLVER,
+     "        np.matmul(to_x1, planes, out=phys)\n",
+     "        phys[...] = to_x1 @ planes\n", T_SOLVER),
+    # a snapshot is a view of the state, which goes on stepping
+    ("snapshot-without-copy", SOLVER,
+     "                snaps.append((target, v.copy()))\n",
+     "                snaps.append((target, v))\n", T_SOLVER),
     # a cached bound keeps the relation it first saw after an injection is undone
     ("max-abs-delta-cached", DISPERSION,
      "def max_abs_delta(model, nmax):\n",

@@ -18,7 +18,9 @@ requires dt * max|delta| of order one, which is surfaced as a warning, not
 enforced.
 
 The stepping core works on coefficient arrays with arbitrary leading batch
-axes; distinct trajectories share no mutable state.
+axes; distinct trajectories share no mutable state.  Each `evolve_array`
+call allocates the arrays its stages write (the stage input, k1-k4 and the
+square's grids) once, sized to its batch, and no buffer outlives the call.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import numpy as np
 from . import dispersion
 
 if sys.platform.startswith("linux"):
-    # glibc returns the batch-sized arrays each RK4 stage frees to the OS, and the next
-    # stage faults them back in; M_TOP_PAD keeps 4 MB of free heap at the top instead.
-    # Set on import, so library callers and spawned pool workers get it too.
+    # glibc returns the batch-sized 1-d FFT outputs each RK4 stage frees to the OS, and
+    # the next stage faults them back in; M_TOP_PAD keeps 4 MB of free heap at the top
+    # instead (every other stage array is a buffer of its evolve_array call).  Set on
+    # import, so library callers and spawned pool workers get it too.
     import ctypes
     _libc = ctypes.CDLL(None)
     _libc.mallopt.argtypes, _libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -97,9 +100,11 @@ def _dft_matrices(nmax, n):
     return to_x2, to_x1, from_x1, from_x2
 
 
-def _squarer(dim, nmax):
-    """The pointwise square on the stored lattice, as a function of the
-    coefficients, formed on n = padded_length(nmax) points per axis.
+def _squarer(dim, nmax, lead):
+    """square(v, e): the pointwise square of v * e on the stored lattice, for
+    v * e of batch shape `lead`, formed on n = padded_length(nmax) points per
+    axis.  Its buffers are allocated here, once, and the result is one of
+    them: the next call overwrites it.
 
     1-d squares with the real FFT.  2-d squares with the dense DFT as four
     real matrix products (`_dft_matrices`, built anew on every call): on
@@ -116,22 +121,26 @@ def _squarer(dim, nmax):
     """
     n, m = padded_length(nmax), nmax
     if dim == 1:
-        def square(coeffs):
-            half = np.zeros(coeffs.shape[:-1] + (m + 1,), dtype=complex)
-            half[..., 1:] = coeffs
+        half = np.zeros(lead + (m + 1,), dtype=complex)
+
+        def square(v, e):
+            np.multiply(v, e, out=half[..., 1:])
             phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
             phys *= phys
             return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
         return square
     to_x2, to_x1, from_x1, from_x2 = _dft_matrices(m, n)
+    ve, out = (np.empty(lead + (m, 2 * m + 1), dtype=complex) for _ in range(2))
+    grid, phys = np.empty(lead + (m, 2 * n)), np.empty(lead + (n, n))
+    planes = grid.reshape(lead + (2 * m, n))
 
-    def square(coeffs):
-        lead = coeffs.shape[:-2]
-        grid = (np.ascontiguousarray(coeffs).view(float) @ to_x2).reshape(lead + (2 * m, n))
-        phys = to_x1 @ grid
-        phys *= phys
-        grid = (from_x1 @ phys).reshape(lead + (m, 2 * n))
-        return (grid @ from_x2).view(complex)
+    def square(v, e):
+        np.matmul(np.multiply(v, e, out=ve).view(float), to_x2, out=grid)
+        np.matmul(to_x1, planes, out=phys)
+        np.multiply(phys, phys, out=phys)
+        np.matmul(from_x1, phys, out=planes)
+        np.matmul(grid, from_x2, out=out.view(float))
+        return out
     return square
 
 
@@ -143,33 +152,38 @@ def interaction_rhs(model, nmax):
     """The right-hand side rhs(eps, t, v) = -eps * S(-t) J((S(t) v)^2).
 
     `v` carries leading batch axes over the stored lattice; `t` is a scalar
-    or an array that broadcasts against `v` (one time per batch row).  The
-    stepper passes the phase `e = exp(i omega t)` instead, and `t` is not read.
+    or an array that broadcasts against `v` (one time per batch row, as the
+    Picard quadrature passes it).  Each call sizes its square's buffers to
+    its own batch.  The stepper evaluates the same expression on buffers of
+    its solve, with the phase e = exp(i omega t) taken by recurrence.
     """
-    square = _squarer(model.dimension, nmax)
+    dim = model.dimension
     i_om = 1j * dispersion.omega_grid(model, nmax)
     i_ph = 1j * dispersion.phi_grid(model, nmax)
 
-    def rhs(eps, t, v, e=None):
-        if e is None:
-            e = np.exp(i_om * t)
-        return (-eps) * i_ph * np.conj(e) * square(v * e)
+    def rhs(eps, t, v):
+        e = np.exp(i_om * t)
+        square = _squarer(dim, nmax, np.broadcast_shapes(np.shape(v), e.shape)[:-dim])
+        return (-eps) * i_ph * np.conj(e) * square(v, e)
     return rhs
 
 
-def _rk4_step(rhs, eps, h, v, e0, e_half, e1):
-    """One RK4 step from exp(i omega t) at t, t + h/2 and t + h; it combines in place."""
-    k1 = rhs(eps, None, v, e0)
-    k2 = rhs(eps, None, v + (0.5 * h) * k1, e_half)
-    k3 = rhs(eps, None, v + (0.5 * h) * k2, e_half)
-    k4 = rhs(eps, None, v + h * k3, e1)
+def _rk4_step(rhs, eps, h, v, e, work):
+    """One RK4 step of v, in place: `e` holds exp(i omega t) at t, t + h/2
+    and t + h, `eps` the factors -eps i phi conj(e) at the same times, and
+    `work` the stage input and k1-k4."""
+    (f0, f_half, f1), (e0, e_half, e1), (w, k1, k2, k3, k4) = eps, e, work
+    rhs(k1, f0, e0, v)
+    rhs(k2, f_half, e_half, np.add(v, np.multiply(0.5 * h, k1, out=w), out=w))
+    rhs(k3, f_half, e_half, np.add(v, np.multiply(0.5 * h, k2, out=w), out=w))
+    rhs(k4, f1, e1, np.add(v, np.multiply(h, k3, out=w), out=w))
     k2 += k3
     k2 *= 2.0
     k2 += k1
     k2 += k4
     k2 *= h / 6.0
-    k2 += v
-    return k2
+    v += k2
+    return v
 
 
 def step_count(span, dt):
@@ -217,11 +231,15 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
             f"the nmax={nmax} truncation (max |delta| = {fastest:.6g}); "
             "expect degraded accuracy on the highest modes",
             StepAccuracyWarning, stacklevel=2)
-    rhs = interaction_rhs(model, nmax)
-    i_om = 1j * dispersion.omega_grid(model, nmax)
-
     lead = shape[:-dim]
+    square = _squarer(dim, nmax, lead)
+
+    def rhs(k, f, e, w):  # k = f * square(w * e) = -eps * S(-t) J((S(t) w)^2)
+        np.multiply(f, square(w, e), out=k)
+
+    i_om = 1j * dispersion.omega_grid(model, nmax)
     v = np.array(coeffs, dtype=complex)
+    work = tuple(np.empty_like(v) for _ in range(5))
     alive = np.ones(lead, dtype=bool)
     blow_time = np.full(lead, np.nan)
 
@@ -236,24 +254,27 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     t_seg = t_start
     # overflow to non-finite values is detected explicitly after each step
     with np.errstate(invalid="ignore", over="ignore"):
+        eps_ph = (-eps) * (1j * dispersion.phi_grid(model, nmax))
         for target in targets:
             span = target - t_seg
             nsteps = step_count(span, dt)
             if not nsteps:
                 continue
             h = span / nsteps
-            # three exps per segment; each step's end phase starts the next step
+            # three exps per segment; each step's end phase and factor start the next step
             half, full = np.exp(i_om * (0.5 * h)), np.exp(i_om * h)
             e1 = np.exp(i_om * t_seg)
+            f1 = eps_ph * np.conj(e1)
             for i in range(nsteps):
-                t_now, e0 = t_seg + i * h, e1
-                e1 = e0 * full
-                v = _rk4_step(rhs, eps, h, v, e0, e0 * half, e1)
+                t_now, e0, f0 = t_seg + i * h, e1, f1
+                e_half, e1 = e0 * half, e0 * full
+                f_half, f1 = eps_ph * np.conj(e_half), eps_ph * np.conj(e1)
+                _rk4_step(rhs, (f0, f_half, f1), h, v, (e0, e_half, e1), work)
                 finite = np.isfinite(v).all(axis=spectral_axes)
                 if not finite.all():
                     blow_time = np.where(alive & ~finite, t_now + h, blow_time)
                     alive = alive & finite
-                    v = np.where(finite[(...,) + (None,) * dim], v, 0.0)
+                    v[~finite] = 0.0
             t_seg = target
             if any(abs(target - s) <= 1e-12 for s in snap_set):
                 snaps.append((target, v.copy()))
@@ -274,7 +295,7 @@ def dealiased_square(field):
     square) is not representable and is dropped, which matches its fate
     under the subsequent application of J.
     """
-    return field.with_coeffs(_squarer(field.dimension, field.nmax)(field.coeffs))
+    return field.with_coeffs(_squarer(field.dimension, field.nmax, ())(field.coeffs, 1.0))
 
 
 def conserved_functional(model, physical_field):

@@ -77,7 +77,7 @@ class TestDealiasedSquare:
     def test_2d_batch_rows_bitwise_and_contiguous(self, nmax):
         batch = np.stack([steep_field(2, nmax, seed=30 + s, rate=0.3).coeffs
                           for s in range(6)]).reshape((2, 3) + dsp.stored_shape(2, nmax))
-        out = slv._squarer(2, nmax)(batch)
+        out = slv._squarer(2, nmax, (2, 3))(batch, 1.0)
         assert out.shape == batch.shape and out.flags.c_contiguous
         for i, j in itertools.product(range(2), range(3)):
             alone = slv.dealiased_square(fld.SpectralField(nmax, batch[i, j]))
@@ -316,24 +316,39 @@ class TestEvolve:
             assert "max |delta| = 416" in str(flagged[0].message)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
-def test_library_solve_keeps_its_heap_pages():
-    # importing the solver sets glibc's M_TOP_PAD, so a solve outside the CLI does
-    # not hand each RK4 stage's temporaries back to the OS and fault them in again
-    # (20,000-40,000 minor faults for this solve without it)
-    script = """if True:
+def solve_faults(dim, nmax, rows, model, eps, dt, t_final):
+    """Minor page faults of one evolve_array call on `rows` sampled data, in a fresh
+    interpreter (after the import and the sampling)."""
+    script = f"""if True:
         import resource
         from wavecorr import dispersion, sampling, solver
-        spec = sampling.build_spectrum("sobolev", 3.0, 32, 1)
-        ens = sampling.EnsembleConfig(sampling.complex_gaussian(), spec, 256, 1)
-        a = sampling.sample_coeff_batch(ens, range(256))
+        spec = sampling.build_spectrum("sobolev", 3.0, {nmax}, {dim})
+        ens = sampling.EnsembleConfig(sampling.complex_gaussian(), spec, {rows}, 1)
+        a = sampling.sample_coeff_batch(ens, range({rows}))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        solver.evolve_array(dispersion.BBM, 0.05, a, 0.01, 1.0)
+        solver.evolve_array(dispersion.{model}, {eps}, a, {dt}, {t_final})
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1000
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
+def test_library_solve_keeps_its_heap_pages():
+    # importing the solver sets glibc's M_TOP_PAD, so a solve outside the CLI does
+    # not hand each step's 1-d FFT outputs back to the OS and fault them in again
+    # (20,000-40,000 minor faults for this solve without it)
+    assert solve_faults(1, 32, 256, "BBM", 0.05, 0.01, 1.0) < 1000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
+def test_2d_batch_solve_keeps_its_heap_pages():
+    # every stage of a 2-d batch writes into buffers of its solve; a product that
+    # allocated its 0.6-1.6 MB result past glibc's 128 KB mmap threshold would fault
+    # it in at every stage (53,600 faults for these 20 steps when all did, about
+    # 2,000 for the buffers' first touch now)
+    assert solve_faults(2, 12, 128, "KPII", 0.05, 5e-4, 1e-2) < 6000
 
 
 class TestConservedFunctional:
@@ -418,14 +433,46 @@ class TestBatchedCore:
             alone, _, _, _ = slv.evolve_array(model, 0.5, batch[row], 5e-4, 1e-3)
             assert np.array_equal(final[row], alone), row
 
-    def test_partial_blow_up_isolated(self):
-        good = steep_field(1, 6, seed=22)
-        bad = steep_field(1, 6, seed=23, rate=0.0, scale=1e8)
+    @staticmethod
+    def check_dead_row_isolated(model, nmax, seeds):
+        # a steep row beside a huge one: the huge row dies, reports its time and is
+        # zeroed, and the steep row solves bitwise as it does alone
+        good = steep_field(model.dimension, nmax, seed=seeds[0])
+        bad = steep_field(model.dimension, nmax, seed=seeds[1], rate=0.0, scale=1e8)
         batch = np.stack([good.coeffs, bad.coeffs])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", slv.StepAccuracyWarning)
-            final, _, alive, blow = slv.evolve_array(dsp.KDV, 1.0, batch, 0.05, 1.0)
-            single = solve(dsp.KDV, 1.0, good, 0.05, 1.0)
+            final, _, alive, blow = slv.evolve_array(model, 1.0, batch, 0.05, 1.0)
+            single = solve(model, 1.0, good, 0.05, 1.0)
         assert alive.tolist() == [True, False]
         assert np.isfinite(blow[1]) and np.isnan(blow[0])
+        assert np.all(final[1] == 0.0)
         assert np.array_equal(final[0], single.coeffs)
+
+    def test_partial_blow_up_isolated(self):
+        self.check_dead_row_isolated(dsp.KDV, 6, (22, 23))
+
+    def test_2d_partial_blow_up_isolated(self):
+        self.check_dead_row_isolated(dsp.KPII, 3, (26, 27))
+
+    # every array a solve returns is its own, the caller's datum is left as it was,
+    # and a snapshot holds the state at its time, not a view of the state that went on
+    @pytest.mark.parametrize("model,nmax", [(dsp.BBM, 6), (dsp.KPI, 3)], ids=["bbm", "kpi"])
+    def test_returned_arrays_are_independent(self, model, nmax):
+        dim = model.dimension
+        batch = np.stack([steep_field(dim, nmax, seed=50 + s, rate=0.3).coeffs
+                          for s in range(3)])
+        datum = batch.copy()
+        times = (0.0, 0.05, 0.1)
+        final, snaps, alive, blow = slv.evolve_array(model, 0.5, batch, 1e-2, 0.15,
+                                                     snapshot_times=times)
+        assert np.array_equal(batch, datum)
+        assert [t for t, _ in snaps] == list(times)
+        for j, (t, got) in enumerate(snaps):
+            alone = slv.evolve_array(model, 0.5, datum, 1e-2, t, snapshot_times=times[:j + 1])[0]
+            assert np.array_equal(got, alone), t
+        assert not np.array_equal(snaps[-1][1], final)
+        returned = [final, alive, blow] + [a for _, a in snaps]
+        for x, y in itertools.combinations(returned, 2):
+            assert not np.shares_memory(x, y)
+        assert not any(np.shares_memory(batch, x) for x in returned)
