@@ -338,7 +338,7 @@ def solve_faults(dim, nmax, rows, model, eps, dt, t_final):
 def test_library_solve_keeps_its_heap_pages():
     # importing the solver sets glibc's M_TOP_PAD, so a solve outside the CLI does
     # not hand each step's 1-d FFT outputs back to the OS and fault them in again
-    # (20,000-40,000 minor faults for this solve without it)
+    # (about 40,000 minor faults for this solve without it)
     assert solve_faults(1, 32, 256, "BBM", 0.05, 0.01, 1.0) < 1000
 
 
