@@ -3,8 +3,8 @@
     python3 mutation/run.py
 
 Run from the root of a source tree.  Each mutant is a (name, file, old,
-new, tests) entry of MUTANTS, where `tests` is the test file expected to
-kill it.  For each one the runner copies `src/`, `tests/`,
+new, tests) entry of MUTANTS, where `tests` is the test file (or test
+node) expected to kill it.  For each one the runner copies `src/`, `tests/`,
 `pyproject.toml` and `README.md` into a temporary directory, replaces the
 single occurrence of `old` in `file` with `new`, and runs
 `python -m pytest -x -q <tests>` there, then the whole suite if that file
@@ -88,6 +88,10 @@ MUTANTS = [
     ("2d-product-allocates", SOLVER,
      "        np.matmul(to_x1, planes, out=phys)\n",
      "        phys[...] = to_x1 @ planes\n", T_SOLVER),
+    # every batch row solved at the first row's eps
+    ("eps-rows-take-the-first", SOLVER,
+     "-np.reshape(eps, rows + (1,) * dim)",
+     "-np.reshape(np.ravel(eps)[0], (1,) * dim)", T_SOLVER),
     # a snapshot is a view of the state, which goes on stepping
     ("snapshot-without-copy", SOLVER,
      "                snaps.append((target, v.copy()))\n",
@@ -129,6 +133,11 @@ MUTANTS = [
     ("bracket-sign-flip", "src/wavecorr/covariance.py",
      "- ph[k] * lam2[n] * lam2[l]",
      "+ ph[k] * lam2[n] * lam2[l]", T_TRIADS),
+    # the kurtosis term's half mode n/2 taken whenever n1 is even, whatever n2
+    ("kurtosis-parity-of-n1-alone", "src/wavecorr/covariance.py",
+     "    even = np.all(modes % 2 == 0, axis=-1)\n",
+     "    even = modes[:, 0] % 2 == 0\n",
+     "tests/test_covariance.py::TestExactExpectationOracle"),
 ]
 
 

@@ -12,16 +12,14 @@ from .field import (
 )
 from .kernels import f_kernel, tilde_f_kernel
 from .picard import (
-    decompose, first_iterate_closed_form, first_iterate_quadrature,
-    remainder_growth_scan,
+    first_iterate_closed_form, first_iterate_quadrature, remainder_growth_scan,
 )
 from .sampling import (
     EnsembleConfig, NoiseLaw, SpectrumProfile, build_spectrum, complex_gaussian,
     moment_report, random_phase, sample_initial_field, tail_report,
 )
 from .solver import (
-    SolverBlowUp, conserved_functional, dealiased_square, evolve_array,
-    interaction_rhs,
+    conserved_functional, dealiased_square, evolve_array, interaction_rhs,
 )
 
 __version__ = "0.1.0"

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion
-from .field import SpectralField, full_array, sobolev_norm
+from .field import full_array, sobolev_norm
 from .kernels import f_kernel
-from .solver import SolverBlowUp, evolve_array, interaction_rhs
+from .solver import evolve_array, interaction_rhs
 
 __all__ = [
     "first_iterate_closed_form", "first_iterate_quadrature", "default_panels",
-    "PicardDecomposition", "decompose",
-    "GrowthScan", "remainder_growth_scan",
+    "remainders", "GrowthScan", "remainder_growth_scan",
 ]
 
 _QUADRATURE_ROWS = 1024  # quadrature nodes per right-hand-side call; bounds its arrays
@@ -96,44 +95,28 @@ def first_iterate_quadrature(u0, model, t, panels=None):
 # Remainder extraction and growth scans.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PicardDecomposition:
-    """v(eps; t) = datum + eps * first_iterate + eps^2 * remainder, exactly."""
+def remainders(u0, model, epsilon, times, dt):
+    """Remainders c = (v - u0 - eps b) / eps^2 of the datum u0 at `times`.
 
-    time: float
-    epsilon: float
-    datum: SpectralField
-    first_iterate: SpectralField
-    remainder: SpectralField
-
-
-def _remainders(u0, model, epsilon, times, dt):
-    """Remainders c = (v - u0 - eps b) / eps^2 at `times`, from one solve.
-
-    Returns the (t, b, c) triples in increasing t, up to the time at which
-    the trajectory loses finiteness, and that time (inf when it does not).
+    `epsilon` is a scalar or an array; each eps is one batch row of a single
+    `evolve_array` solve.  Returns (times, c, blow): the distinct times in
+    increasing order, c with shape times x eps.shape x stored lattice (NaN
+    in a row from that row's blow-up time on), and each row's blow-up time,
+    shape eps.shape (inf where the row stays finite).
     """
-    if epsilon <= 0.0:
-        raise ValueError("remainder extraction needs epsilon > 0")
-    _, snaps, alive, blow = evolve_array(model, epsilon, u0.coeffs, dt, max(times),
-                                         snapshot_times=times)
-    cutoff = math.inf if alive else float(blow)
-    snaps = [(t, v) for t, v in snaps if t < cutoff]
-    b = first_iterate_closed_form(u0, model, np.array([t for t, _ in snaps]))
-    return [(t, u0.with_coeffs(bt), u0.with_coeffs((v - u0.coeffs - epsilon * bt) / epsilon ** 2))
-            for (t, v), bt in zip(snaps, b)], cutoff
-
-
-def decompose(u0, model, epsilon, t, dt):
-    """Solve, subtract the closed-form iterate, and return the decomposition.
-
-    Raises SolverBlowUp when the trajectory loses finiteness.
-    """
-    rows, blow = _remainders(u0, model, epsilon, [t], dt)
-    if blow < math.inf:
-        raise SolverBlowUp(blow)
-    (time, b, c), = rows
-    return PicardDecomposition(time, epsilon, u0, b, c)
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all(eps > 0):  # false for nan
+        raise ValueError(f"remainder extraction needs epsilon > 0, got {epsilon}")
+    batch = np.broadcast_to(u0.coeffs, eps.shape + u0.coeffs.shape)
+    _, snaps, _, blow = evolve_array(model, eps, batch, dt, max(times), snapshot_times=times)
+    blow = np.where(np.isnan(blow), math.inf, blow)
+    t = np.array([s for s, _ in snaps])
+    lead = t.shape + (1,) * eps.ndim
+    b = first_iterate_closed_form(u0, model, t).reshape(lead + u0.coeffs.shape)
+    rows = eps.reshape(eps.shape + (1,) * u0.dimension)
+    c = (np.stack([v for _, v in snaps]) - u0.coeffs - rows * b) / rows ** 2
+    c[t.reshape(lead) >= blow] = np.nan
+    return t, c, blow
 
 
 @dataclass
@@ -167,8 +150,9 @@ def remainder_growth_scan(u0, model, epsilon, time_grid, dt):
 
     A solver blow-up truncates the table at the failure time and flags it.
     """
-    rows, blow = _remainders(u0, model, epsilon, time_grid, dt)
+    times, c, blow = remainders(u0, model, epsilon, time_grid, dt)
     # BBM's natural remainder energy is H^1; the KP family (and KdV) use L^2
     order = 1.0 if model.kind == "bbm" else 0.0
     return GrowthScan(model.kind, epsilon, u0.nmax,
-                      [(t, sobolev_norm(c, order)) for t, _, c in rows], blow < math.inf)
+                      [(float(t), sobolev_norm(u0.with_coeffs(ct), order))
+                       for t, ct in zip(times, c) if t < blow], bool(blow < math.inf))

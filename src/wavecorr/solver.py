@@ -43,19 +43,10 @@ if sys.platform.startswith("linux"):
     _libc.mallopt(-2, 4 << 20)  # -2 is M_TOP_PAD
 
 __all__ = [
-    "SolverBlowUp", "StepAccuracyWarning",
+    "StepAccuracyWarning",
     "padded_length", "dealiased_square", "interaction_rhs",
     "step_count", "evolve_array", "conserved_functional",
 ]
-
-
-class SolverBlowUp(RuntimeError):
-    """Non-finite coefficients encountered; `time` holds the failing step end."""
-
-    def __init__(self, time):
-        super().__init__(f"solution lost finiteness at t={time:g} "
-                         "(time step too large or datum too rough)")
-        self.time = time
 
 
 class StepAccuracyWarning(UserWarning):
@@ -151,11 +142,12 @@ def _squarer(dim, nmax, lead):
 def interaction_rhs(model, nmax):
     """The right-hand side rhs(eps, t, v) = -eps * S(-t) J((S(t) v)^2).
 
-    `v` carries leading batch axes over the stored lattice; `t` is a scalar
-    or an array that broadcasts against `v` (one time per batch row, as the
-    Picard quadrature passes it).  Each call sizes its square's buffers to
-    its own batch.  The stepper evaluates the same expression on buffers of
-    its solve, with the phase e = exp(i omega t) taken by recurrence.
+    `v` carries leading batch axes over the stored lattice; `eps` and `t`
+    are scalars or arrays that broadcast against `v` (one time per batch
+    row, as the Picard quadrature passes it).  Each call sizes its square's
+    buffers to its own batch.  The stepper evaluates the same expression on
+    buffers of its solve, with the phase e = exp(i omega t) taken by
+    recurrence.
     """
     dim = model.dimension
     i_om = 1j * dispersion.omega_grid(model, nmax)
@@ -199,14 +191,16 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     """Integrate the interaction-picture equation from t_start to t_final.
 
     The one solve entry point.  `coeffs` carries arbitrary leading batch
-    axes over the stored lattice.  Returns (final, snaps, alive, blow_time):
-    `snaps` is a list of (time, array) pairs, hit exactly by shortening
-    steps, `alive` a boolean batch mask, `blow_time` the time at which each
-    dead trajectory lost finiteness (nan when alive).  Raises ValueError for
-    a non-finite time, a final time before the start, a step that is not a
-    positive finite number or too small to count across the span, or
-    coefficients whose trailing shape is not the model's stored lattice;
-    warns when dt under-resolves the fastest nonlinear phase.
+    axes over the stored lattice; `eps` is a scalar or an array that
+    broadcasts to those batch axes, one eps per row.  Returns (final, snaps,
+    alive, blow_time): `snaps` is a list of (time, array) pairs, hit exactly
+    by shortening steps, `alive` a boolean batch mask, `blow_time` the time
+    at which each dead trajectory lost finiteness (nan when alive).  Raises
+    ValueError for a non-finite time, a final time before the start, a step
+    that is not a positive finite number or too small to count across the
+    span, coefficients whose trailing shape is not the model's stored
+    lattice, or an eps that does not broadcast to the batch shape; warns
+    when dt under-resolves the fastest nonlinear phase.
     """
     if not (np.isfinite(t_start) and np.isfinite(t_final)):
         raise ValueError(f"times must be finite, got t_start={t_start}, t_final={t_final}")
@@ -220,18 +214,20 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     if len(shape) < dim or shape[-dim:] != dispersion.stored_shape(dim, nmax):
         raise ValueError(f"coefficient shape {shape} does not end in a stored "
                          f"lattice of model {model.kind}")
+    lead, rows = shape[:-dim], np.shape(eps)
+    if len(rows) > len(lead) or any(r not in (1, b) for r, b in zip(rows[::-1], lead[::-1])):
+        raise ValueError(f"eps of shape {rows} does not broadcast to the batch shape {lead}")
     snap_set = sorted(set(float(s) for s in snapshot_times))
     for s in snap_set:
         if not t_start - 1e-12 <= s <= t_final + 1e-12:  # false for nan
             raise ValueError(f"snapshot time {s} outside [{t_start}, {t_final}]")
-    fastest = dispersion.max_abs_delta(model, nmax) if eps != 0 else 0.0
+    fastest = dispersion.max_abs_delta(model, nmax) if np.any(eps != 0) else 0.0
     if min(dt, t_final - t_start) * fastest > 3.0:  # no step outlasts the span
         warnings.warn(
             f"dt={dt:g} under-resolves the fastest nonlinear phase of "
             f"the nmax={nmax} truncation (max |delta| = {fastest:.6g}); "
             "expect degraded accuracy on the highest modes",
             StepAccuracyWarning, stacklevel=2)
-    lead = shape[:-dim]
     square = _squarer(dim, nmax, lead)
 
     def rhs(k, f, e, w):  # k = f * square(w * e) = -eps * S(-t) J((S(t) w)^2)
@@ -254,7 +250,8 @@ def evolve_array(model, eps, coeffs, dt, t_final, *, snapshot_times=(), t_start=
     t_seg = t_start
     # overflow to non-finite values is detected explicitly after each step
     with np.errstate(invalid="ignore", over="ignore"):
-        eps_ph = (-eps) * (1j * dispersion.phi_grid(model, nmax))
+        # eps over size-1 lattice axes: a scalar keeps the lattice shape, rows add batch axes
+        eps_ph = -np.reshape(eps, rows + (1,) * dim) * (1j * dispersion.phi_grid(model, nmax))
         for target in targets:
             span = target - t_seg
             nsteps = step_count(span, dt)

@@ -12,6 +12,7 @@ import pytest
 
 from wavecorr import covariance as cov
 from wavecorr import dispersion as dsp
+from wavecorr import field as fld
 from wavecorr import sampling as smp
 from wavecorr.kernels import f_kernel
 
@@ -261,21 +262,32 @@ class TestExactExpectationOracle:
     On a two-mode lattice the expectation over the datum law is an ordinary
     integral: Gauss-Hermite in the four real Gaussian coordinates, or a
     uniform phase grid (exact for band-limited integrands) for the
-    random-phase law.  Richardson extrapolation in eps strips the cubic
-    remainder, exposing the eps^2 coefficient of the coupled statistic,
-    which must equal the analytic correction for both kurtosis branches.
+    random-phase law.  With three active modes under the random-phase law,
+    translations fix one phase in 1-d and two in 2-d, where the modes are a
+    triad k + l = n with k and l independent: the expectation is then an
+    average over the two remaining phases (1-d) or the triad phase
+    theta_n - theta_k - theta_l (2-d).  Richardson extrapolation in eps
+    strips the cubic and quartic remainders, exposing the eps^2 coefficient
+    of the coupled statistic, which must equal the analytic correction.
+    Every datum row at every eps is one row of a single solve.
     """
 
-    nmax, t, dt = 2, 1.0, 5e-3
+    t = 1.0
+    eps = np.array([0.1, 0.05, 0.025])
+    nmax, dt = 2, 5e-3
     lam = np.array([0.9, 0.6])
 
-    def _solve_statistic(self, a, eps):
+    def _extrapolate(self, model, a, weights, dt):
+        """Richardson's eps^2 coefficient of sum_r weights[r] (|v|^2 - |a|^2)(a[r])."""
         from wavecorr.solver import evolve_array
-        final, _, alive, _ = evolve_array(dsp.BBM, eps, a, self.dt, self.t)
+        final, _, alive, _ = evolve_array(model, self.eps[:, None],
+                                          np.broadcast_to(a, self.eps.shape + a.shape), dt, self.t)
         assert bool(np.all(alive))
-        return np.abs(final) ** 2 - np.abs(a) ** 2
+        stat = np.moveaxis(np.abs(final) ** 2 - np.abs(a) ** 2, 1, -1) @ weights
+        d1, d2, d3 = (s / e ** 2 for s, e in zip(stat, self.eps))
+        return (d1 - 6.0 * d2 + 8.0 * d3) / 3.0
 
-    def _gauss_expectation(self, eps, pts=10):
+    def _gauss_expectation(self, pts=10):
         from numpy.polynomial.hermite_e import hermegauss
         x, w = hermegauss(pts)
         w = w / np.sqrt(2.0 * np.pi)
@@ -284,14 +296,14 @@ class TestExactExpectationOracle:
              * w[None, None, :, None] * w[None, None, None, :]).reshape(-1)
         a = np.stack([(X[:, 0] + 1j * X[:, 1]) / np.sqrt(2.0) * self.lam[0],
                       (X[:, 2] + 1j * X[:, 3]) / np.sqrt(2.0) * self.lam[1]], axis=-1)
-        return W @ self._solve_statistic(a, eps)
+        return self._extrapolate(dsp.BBM, a, W, self.dt)
 
-    def _phase_expectation(self, eps, pts=24):
+    def _phase_expectation(self, pts=24):
         th = 2.0 * np.pi * np.arange(pts) / pts
         t1, t2 = np.meshgrid(th, th, indexing="ij")
         a = np.stack([np.exp(1j * t1.ravel()) * self.lam[0],
                       np.exp(1j * t2.ravel()) * self.lam[1]], axis=-1)
-        return self._solve_statistic(a, eps).mean(axis=0)
+        return self._extrapolate(dsp.BBM, a, np.full(len(a), 1.0 / len(a)), self.dt)
 
     @pytest.mark.parametrize("kurtosis,expectation",
                              [(2.0, "_gauss_expectation"), (1.0, "_phase_expectation")])
@@ -299,12 +311,28 @@ class TestExactExpectationOracle:
         # mode 2 doubles to 4, outside nmax=2: the two-mode dynamics lack that term too
         spec = smp.SpectrumProfile("custom-table", None, self.nmax, 1, self.lam)
         g_pred, _ = cov.g_table(spec, kurtosis, dsp.BBM, self.t)
-        fn = getattr(self, expectation)
-        d1 = fn(0.1) / 0.1 ** 2
-        d2 = fn(0.05) / 0.05 ** 2
-        d3 = fn(0.025) / 0.025 ** 2
-        extrapolated = (d1 - 6.0 * d2 + 8.0 * d3) / 3.0
+        extrapolated = getattr(self, expectation)()
         assert np.max(np.abs(extrapolated - g_pred) / np.abs(g_pred)) < 1e-4
+
+    # the largest error over the stored modes, relative to the largest |G_n|, read
+    # 1.1e-5 (KdV), 2.5e-7 (BBM), 4.2e-6 (KP-II) and 3.3e-5 (KP-I)
+    @pytest.mark.parametrize("model,dt", [(dsp.KDV, 1e-3), (dsp.BBM, 2e-3),
+                                          (dsp.KPII, 1e-3), (dsp.KPI, 1e-3)],
+                             ids=["kdv", "bbm", "kpii", "kpi"])
+    def test_three_active_modes_match_g(self, model, dt):
+        dim, nmax = model.dimension, 8
+        modes = [1, 2, 3] if dim == 1 else [(1, 2), (2, -1), (3, 1)]
+        amplitudes = np.array([0.5, 0.4, 0.3])
+        th = 2.0 * np.pi * np.arange(6) / 6
+        free = [th, th] if dim == 1 else [th]
+        phases = np.stack(np.meshgrid(*[0.0] * (3 - len(free)), *free, indexing="ij"),
+                          axis=-1).reshape(-1, 3)
+        a = np.stack([fld.field_from_modes(dim, nmax, dict(zip(modes, amplitudes * np.exp(1j * p))))
+                      .coeffs for p in phases])
+        spec = smp.SpectrumProfile("custom-table", None, nmax, dim, np.abs(a[0]))
+        g_pred, _ = cov.g_table(spec, 1.0, model, self.t)
+        extrapolated = self._extrapolate(model, a, np.full(len(a), 1.0 / len(a)), dt)
+        assert np.max(np.abs(extrapolated - g_pred)) < 1e-4 * np.max(np.abs(g_pred))
 
 
 class TestComparePrediction:

@@ -7,7 +7,7 @@ from wavecorr import dispersion as dsp
 from wavecorr import field as fld
 from wavecorr import picard as pic
 from wavecorr.kernels import f_kernel
-from wavecorr.solver import SolverBlowUp, StepAccuracyWarning, evolve_array
+from wavecorr.solver import StepAccuracyWarning, evolve_array
 
 
 def smooth_field(dim, nmax, seed, rate=0.8, scale=1.0):
@@ -106,38 +106,44 @@ class TestFirstHarmonic:
 
 class TestRemainder:
     def test_zero_datum(self):
-        c = pic.decompose(fld.field_from_modes(1, 6, {}), dsp.BBM, 0.1, 1.0, dt=2e-3).remainder
-        assert np.all(c.coeffs == 0.0)
+        _, c, _ = pic.remainders(fld.field_from_modes(1, 6, {}), dsp.BBM, 0.1, [1.0], dt=2e-3)
+        assert np.all(c == 0.0)
 
     def test_decomposition_reconstructs_solution(self):
         u0 = smooth_field(1, 8, seed=6)
-        dec = pic.decompose(u0, dsp.BBM, 0.2, 1.0, dt=2e-3)
-        final = evolve_array(dsp.BBM, 0.2, u0.coeffs, 2e-3, 1.0)[0]
-        eps = dec.epsilon
-        rebuilt = (dec.datum.coeffs + eps * dec.first_iterate.coeffs
-                   + eps ** 2 * dec.remainder.coeffs)
-        assert np.max(np.abs(rebuilt - final)) < 1e-15
+        eps = np.array([0.2, 0.1])
+        times, c, blow = pic.remainders(u0, dsp.BBM, eps, [1.0], dt=2e-3)
+        assert c.shape == (1, 2, 8) and times.tolist() == [1.0] and np.all(blow == np.inf)
+        b = pic.first_iterate_closed_form(u0, dsp.BBM, 1.0).coeffs
+        for row, e in enumerate(eps):
+            final = evolve_array(dsp.BBM, e, u0.coeffs, 2e-3, 1.0)[0]
+            rebuilt = u0.coeffs + e * b + e ** 2 * c[0, row]
+            assert np.max(np.abs(rebuilt - final)) < 1e-15
 
     def test_epsilon_consistency(self):
         # c(eps) - c(eps/2) shrinks linearly in eps (Richardson with eps/4)
         u0 = smooth_field(1, 8, seed=7)
-        cs = {e: pic.decompose(u0, dsp.BBM, e, 1.0, dt=2e-3).remainder.coeffs
-              for e in (0.2, 0.1, 0.05)}
-        d1 = np.linalg.norm(cs[0.2] - cs[0.1])
-        d2 = np.linalg.norm(cs[0.1] - cs[0.05])
+        _, (c,), _ = pic.remainders(u0, dsp.BBM, [0.2, 0.1, 0.05], [1.0], dt=2e-3)
+        d1 = np.linalg.norm(c[0] - c[1])
+        d2 = np.linalg.norm(c[1] - c[2])
         k_est = d2 / 0.05
         assert d1 <= 1.3 * k_est * 0.2
 
     def test_blow_up_reports_time(self):
+        # the row at eps 1 dies and reads NaN from its blow-up time on; the row at
+        # a tiny eps stays finite at every time
         u0 = smooth_field(1, 8, seed=7, rate=0.0, scale=1e8)
         with pytest.warns(StepAccuracyWarning):
-            with pytest.raises(SolverBlowUp) as info:
-                pic.decompose(u0, dsp.KDV, 1.0, 10.0, dt=0.5)
-        assert 0.0 < info.value.time <= 10.0
+            times, c, blow = pic.remainders(u0, dsp.KDV, [1.0, 1e-12], [0.5, 10.0], dt=0.5)
+        assert 0.0 < blow[0] <= 10.0 and blow[1] == np.inf
+        assert np.all(np.isnan(c[times >= blow[0], 0]))
+        assert not np.any(np.isnan(c[times < blow[0], 0])) and np.all(np.isfinite(c[:, 1]))
 
     def test_requires_positive_epsilon(self):
-        with pytest.raises(ValueError):
-            pic.decompose(smooth_field(1, 4, 8), dsp.BBM, 0.0, 1.0, dt=2e-3)
+        # NaN fails the guard too, rather than reading as a blow-up
+        for eps in (0.0, -0.1, np.nan, [0.1, 0.0], [0.1, np.nan]):
+            with pytest.raises(ValueError, match="epsilon > 0"):
+                pic.remainders(smooth_field(1, 4, 8), dsp.BBM, eps, [1.0], dt=2e-3)
 
     def test_bbm_remainder_stable_under_grid_refinement(self):
         # same smooth datum embedded in two truncations: the scaled H^1 size
@@ -148,8 +154,8 @@ class TestRemainder:
             wide = np.zeros(nmax, dtype=complex)
             wide[:6] = base.coeffs
             u0 = fld.SpectralField(nmax, wide)
-            c = pic.decompose(u0, dsp.BBM, 0.05, 1.0, dt=2e-3).remainder
-            sizes[nmax] = fld.sobolev_norm(c, 1.0) / fld.sobolev_norm(u0, 1.0) ** 3
+            _, (c,), _ = pic.remainders(u0, dsp.BBM, 0.05, [1.0], dt=2e-3)
+            sizes[nmax] = fld.sobolev_norm(u0.with_coeffs(c), 1.0) / fld.sobolev_norm(u0, 1.0) ** 3
         assert np.isfinite(sizes[8]) and sizes[8] > 0
         assert sizes[12] == pytest.approx(sizes[8], rel=1e-4)
 
@@ -194,8 +200,8 @@ class TestGrowthScan:
                                          dt=5e-3)
         assert [t for t, _ in scan.rows] == [0.0, 0.5]
         assert scan.rows[0][1] == 0.0 and scan.rows[1][1] > 0.0
-        dec = pic.decompose(smooth_field(1, 6, 9), dsp.BBM, 0.1, 0.0, dt=5e-3)
-        assert dec.time == 0.0 and not np.any(dec.remainder.coeffs)
+        times, c, _ = pic.remainders(smooth_field(1, 6, 9), dsp.BBM, [0.1, 0.05], [0.0], dt=5e-3)
+        assert times.tolist() == [0.0] and c.shape == (1, 2, 6) and not np.any(c)
 
     def test_no_resonance_sup_attained_early(self):
         # BBM and KP-II: sup over [0,100] of ||b(t)|| moves < 5% between the

@@ -102,11 +102,14 @@ def test_kernels_continuous_across_degenerate_phase(t, negative_t, sign):
         assert abs(lo - hi) <= 4e-15 * abs(hi), kernel.__name__
 
 
+# one eps for the batch, or one per row; a coarse dt warns, and bits are bits
+@pytest.mark.filterwarnings("ignore::wavecorr.solver.StepAccuracyWarning")
 @PROPERTY
 @given(moderate_fields(nmax_1d=5, nmax_2d=3), st.integers(1, 4), st.data())
 def test_batch_rows_solve_bitwise_alone(field, rows, data):
     model = data.draw(models_of(field.dimension))
-    eps = data.draw(st.floats(0.0, 1.0))
+    eps = data.draw(st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=rows + 1,
+                                                   max_size=rows + 1).map(np.array))
     dt = data.draw(st.floats(1e-3, 5e-2))
     t_final = dt * data.draw(st.integers(1, 4))
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
@@ -115,7 +118,8 @@ def test_batch_rows_solve_bitwise_alone(field, rows, data):
         for seed in seeds])
     final, _, alive, _ = slv.evolve_array(model, eps, batch, dt, t_final)
     for row in range(batch.shape[0]):
-        alone, _, alive_alone, _ = slv.evolve_array(model, eps, batch[row:row + 1], dt, t_final)
+        eps_row = eps if np.ndim(eps) == 0 else eps[row:row + 1]
+        alone, _, alive_alone, _ = slv.evolve_array(model, eps_row, batch[row:row + 1], dt, t_final)
         assert alive[row] == alive_alone[0]
         assert np.array_equal(bits(final[row]), bits(alone[0]))
 

@@ -1,6 +1,7 @@
 """Dealiased products, the interaction-picture right-hand side, and RK4."""
 
 import itertools
+import re
 import subprocess
 import sys
 import warnings
@@ -244,6 +245,14 @@ class TestEvolve:
             slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 0.1, -1.0)
         with pytest.raises(ValueError, match="precedes t_start"):
             slv.evolve_array(dsp.KDV, 0.0, u0.coeffs, 0.1, 0.5, t_start=1.0)
+        batch = np.stack([u0.coeffs] * 2)
+        for eps, rows in (([0.1, 0.2, 0.3], "(3,)"), ([[0.1], [0.2]], "(2, 1)")):
+            with pytest.raises(ValueError, match=re.escape(f"eps of shape {rows} does not "
+                                                           "broadcast to the batch shape (2,)")):
+                slv.evolve_array(dsp.KDV, eps, batch, 0.1, 1.0)
+        with pytest.raises(ValueError, match=re.escape("shape (2,) does not broadcast to the "
+                                                       "batch shape ()")):
+            slv.evolve_array(dsp.KDV, [0.1, 0.2], u0.coeffs, 0.1, 1.0)
 
     @pytest.mark.parametrize("t_start,t_final", [(0.0, np.nan), (0.0, np.inf),
                                                  (np.nan, 1.0), (-np.inf, 1.0)])
@@ -411,6 +420,7 @@ class TestTruncationIndependence:
 
 class TestBatchedCore:
     def test_batch_rows_match_single_runs(self):
+        # a scalar eps for the whole batch, and one eps per row of a 2 x 2 batch
         u0a = steep_field(1, 6, seed=20)
         u0b = steep_field(1, 6, seed=21)
         batch = np.stack([u0a.coeffs, u0b.coeffs])
@@ -420,17 +430,24 @@ class TestBatchedCore:
         assert np.array_equal(final[0], sa.coeffs)
         assert np.array_equal(final[1], sb.coeffs)
         assert alive.all()
+        eps = np.array([[0.3, 0.7], [0.05, 0.3]])
+        final, _, alive, _ = slv.evolve_array(dsp.BBM, eps, np.stack([batch, batch[::-1]]),
+                                              1e-2, 0.5)
+        assert alive.all()
+        for (i, j), u0 in zip(np.ndindex(2, 2), (u0a, u0b, u0b, u0a)):
+            assert np.array_equal(final[i, j], solve(dsp.BBM, eps[i, j], u0, 1e-2, 0.5).coeffs)
 
     # run.batch's default; each stacked row of the 2-d square's products is
-    # one GEMM of its own, at every batch size
+    # one GEMM of its own, at every batch size, and takes its own eps
     @pytest.mark.parametrize("model,nmax", [(dsp.KPI, 16), (dsp.KPII, 3)], ids=["kpi", "kpii"])
     def test_2d_batch_of_128_rows_solves_bitwise_alone(self, model, nmax):
         batch = np.stack([steep_field(2, nmax, seed=100 + s, rate=0.3).coeffs
                           for s in range(128)])
-        final, _, alive, _ = slv.evolve_array(model, 0.5, batch, 5e-4, 1e-3)
+        eps = np.linspace(0.1, 0.9, 128)
+        final, _, alive, _ = slv.evolve_array(model, eps, batch, 5e-4, 1e-3)
         assert alive.all()
         for row in range(batch.shape[0]):
-            alone, _, _, _ = slv.evolve_array(model, 0.5, batch[row], 5e-4, 1e-3)
+            alone, _, _, _ = slv.evolve_array(model, eps[row], batch[row], 5e-4, 1e-3)
             assert np.array_equal(final[row], alone), row
 
     @staticmethod
