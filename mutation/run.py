@@ -88,6 +88,15 @@ MUTANTS = [
     ("2d-product-allocates", SOLVER,
      "        np.matmul(to_x1, planes, out=phys)\n",
      "        phys[...] = to_x1 @ planes\n", T_SOLVER),
+    # the 1-d spectrum allocated by the FFT instead of written into its buffer
+    ("1d-spectrum-allocates", SOLVER,
+     'norm="forward", out=spec)',
+     'norm="forward")', "tests/test_solver.py::test_1d_batch_solve_keeps_its_heap_pages"),
+    # the 1-d grid allocated by the inverse FFT and copied into its buffer
+    ("1d-grid-allocates", SOLVER,
+     '            np.fft.irfft(half, n=n, axis=-1, norm="forward", out=phys)\n',
+     '            phys[...] = np.fft.irfft(half, n=n, axis=-1, norm="forward")\n',
+     "tests/test_solver.py::test_1d_batch_solve_keeps_its_heap_pages"),
     # every batch row solved at the first row's eps
     ("eps-rows-take-the-first", SOLVER,
      "-np.reshape(eps, rows + (1,) * dim)",
@@ -96,6 +105,10 @@ MUTANTS = [
     ("snapshot-without-copy", SOLVER,
      "                snaps.append((target, v.copy()))\n",
      "                snaps.append((target, v))\n", T_SOLVER),
+    # an eps whose square underflows reaches the division by eps^2
+    ("remainder-eps-square-unguarded", "src/wavecorr/picard.py",
+     "np.all((eps > 0) & (eps * eps >= np.finfo(float).tiny))",
+     "np.all(eps > 0)", "tests/test_picard.py"),
     # a cached bound keeps the relation it first saw after an injection is undone
     ("max-abs-delta-cached", DISPERSION,
      "def max_abs_delta(model, nmax):\n",

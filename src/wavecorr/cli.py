@@ -386,13 +386,14 @@ def cmd_covariance(cfg, out):
 # ---------------------------------------------------------------------------
 
 def cmd_picard_scan(cfg, out):
-    if cfg["run.epsilon"] <= 0:
-        raise ConfigError("picard-scan needs run.epsilon > 0")
     cfg.check_work(1)
     ensemble = cfg.ensemble(gated=True)
     u0 = sampling.sample_initial_field(ensemble, 0)
-    scan = picard.remainder_growth_scan(
-        u0, cfg.model, cfg["run.epsilon"], cfg.times, cfg["run.dt"])
+    try:
+        scan = picard.remainder_growth_scan(
+            u0, cfg.model, cfg["run.epsilon"], cfg.times, cfg["run.dt"])
+    except ValueError as exc:  # an epsilon of 0, or one whose square underflows
+        raise ConfigError(str(exc))
     path = _outfile(out, "picard_scan.csv")
     path.write_text(scan.to_csv(), encoding="utf-8")
     exponent = scan.fitted_exponent

@@ -105,8 +105,10 @@ def remainders(u0, model, epsilon, times, dt):
     shape eps.shape (inf where the row stays finite).
     """
     eps = np.asarray(epsilon, dtype=float)
-    if not np.all(eps > 0):  # false for nan
-        raise ValueError(f"remainder extraction needs epsilon > 0, got {epsilon}")
+    # false for nan, and for an eps whose square, the divisor of c, underflows
+    if not np.all((eps > 0) & (eps * eps >= np.finfo(float).tiny)):
+        raise ValueError(f"remainder extraction needs epsilon > 0 with a normal "
+                         f"epsilon^2, got {epsilon}")
     batch = np.broadcast_to(u0.coeffs, eps.shape + u0.coeffs.shape)
     _, snaps, _, blow = evolve_array(model, eps, batch, dt, max(times), snapshot_times=times)
     blow = np.where(np.isnan(blow), math.inf, blow)

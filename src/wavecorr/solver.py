@@ -21,26 +21,18 @@ The stepping core works on coefficient arrays with arbitrary leading batch
 axes; distinct trajectories share no mutable state.  Each `evolve_array`
 call allocates the arrays its stages write (the stage input, k1-k4 and the
 square's grids) once, sized to its batch, and no buffer outlives the call.
+A stage allocates nothing: in 1-d as in 2-d, the square's transforms and
+products write into these buffers with `out=` (which `numpy.fft` takes
+from numpy 2.0 on).
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 
 import numpy as np
 
 from . import dispersion
-
-if sys.platform.startswith("linux"):
-    # glibc returns the batch-sized 1-d FFT outputs each RK4 stage frees to the OS, and
-    # the next stage faults them back in; M_TOP_PAD keeps 4 MB of free heap at the top
-    # instead (every other stage array is a buffer of its evolve_array call).  Set on
-    # import, so library callers and spawned pool workers get it too.
-    import ctypes
-    _libc = ctypes.CDLL(None)
-    _libc.mallopt.argtypes, _libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    _libc.mallopt(-2, 4 << 20)  # -2 is M_TOP_PAD
 
 __all__ = [
     "StepAccuracyWarning",
@@ -97,8 +89,9 @@ def _squarer(dim, nmax, lead):
     axis.  Its buffers are allocated here, once, and the result is one of
     them: the next call overwrites it.
 
-    1-d squares with the real FFT.  2-d squares with the dense DFT as four
-    real matrix products (`_dft_matrices`, built anew on every call): on
+    1-d squares with the real FFT, both transforms writing into these
+    buffers.  2-d squares with the dense DFT as four real matrix products
+    (`_dft_matrices`, built anew on every call): on
     the small grids of the 2-d runs the call overhead of the FFT outweighs
     its arithmetic.  Against the 2-d FFT, one square took 0.24 of its time
     at nmax=8 (0.32 in a batch of 128), 0.4 (0.6) at nmax=16 and about the
@@ -113,12 +106,13 @@ def _squarer(dim, nmax, lead):
     n, m = padded_length(nmax), nmax
     if dim == 1:
         half = np.zeros(lead + (m + 1,), dtype=complex)
+        phys, spec = np.empty(lead + (n,)), np.empty(lead + (n // 2 + 1,), dtype=complex)
 
         def square(v, e):
             np.multiply(v, e, out=half[..., 1:])
-            phys = np.fft.irfft(half, n=n, axis=-1, norm="forward")
-            phys *= phys
-            return np.fft.rfft(phys, axis=-1, norm="forward")[..., 1:m + 1]
+            np.fft.irfft(half, n=n, axis=-1, norm="forward", out=phys)
+            np.multiply(phys, phys, out=phys)
+            return np.fft.rfft(phys, axis=-1, norm="forward", out=spec)[..., 1:m + 1]
         return square
     to_x2, to_x1, from_x1, from_x2 = _dft_matrices(m, n)
     ve, out = (np.empty(lead + (m, 2 * m + 1), dtype=complex) for _ in range(2))

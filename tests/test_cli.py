@@ -52,6 +52,14 @@ class TestConfig:
         assert run_cli(tmp_path, "covariance", "--set", "run.epsilon=1.5") == 64
         assert run_cli(tmp_path, "covariance", "--set", "run.epsilon=-0.2") == 64
 
+    @pytest.mark.parametrize("eps", ["0", "1e-300"])
+    def test_picard_scan_epsilon_without_remainder_exits_64(self, tmp_path, capsys, eps):
+        # the remainder divides by eps^2, which is 0 here or underflows to it
+        assert run_cli(tmp_path, "picard-scan", "--set", f"run.epsilon={eps}") == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: remainder extraction needs epsilon > 0")
+        assert not (tmp_path / "picard_scan.csv").exists()
+
     def test_config_file_and_set_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "kdv", "grid.nmax": 6}))

@@ -140,8 +140,9 @@ class TestRemainder:
         assert not np.any(np.isnan(c[times < blow[0], 0])) and np.all(np.isfinite(c[:, 1]))
 
     def test_requires_positive_epsilon(self):
-        # NaN fails the guard too, rather than reading as a blow-up
-        for eps in (0.0, -0.1, np.nan, [0.1, 0.0], [0.1, np.nan]):
+        # NaN fails the guard too, rather than reading as a blow-up, and so does an
+        # eps whose square underflows the division by eps^2
+        for eps in (0.0, -0.1, np.nan, 1e-300, [0.1, 0.0], [0.1, np.nan], [1.0, 1e-300]):
             with pytest.raises(ValueError, match="epsilon > 0"):
                 pic.remainders(smooth_field(1, 4, 8), dsp.BBM, eps, [1.0], dt=2e-3)
 

@@ -85,6 +85,20 @@ class TestDealiasedSquare:
             assert alone.coeffs.flags.c_contiguous
             assert np.array_equal(out[i, j], alone.coeffs)
 
+    @pytest.mark.parametrize("dim,nmax", [(1, 8), (2, 4)])
+    def test_squarer_writes_each_square_into_its_buffers(self, dim, nmax):
+        # the second call's square overwrites the first's: no call allocates its result
+        square = slv._squarer(dim, nmax, (3,))
+        results = []
+        for call in range(2):
+            batch = np.stack([steep_field(dim, nmax, seed=40 + 3 * call + s, rate=0.3).coeffs
+                              for s in range(3)])
+            results.append(square(batch, 1.0))
+            for row, out in zip(batch, results[-1]):
+                alone = slv.dealiased_square(fld.SpectralField(nmax, row))
+                assert np.array_equal(out, alone.coeffs)
+        assert np.shares_memory(*results)
+
 
 class TestNonlinearRhs:
     def test_zero_epsilon(self):
@@ -325,10 +339,19 @@ class TestEvolve:
             assert "max |delta| = 416" in str(flagged[0].message)
 
 
-def solve_faults(dim, nmax, rows, model, eps, dt, t_final):
+def solve_faults(dim, nmax, rows, model, eps, dt, t_final, instrumented=False):
     """Minor page faults of one evolve_array call on `rows` sampled data, in a fresh
-    interpreter (after the import and the sampling)."""
-    script = f"""if True:
+    interpreter (after the import and the sampling).  `instrumented` first sets
+    glibc's mmap threshold to 1 MB and its trim threshold to 1 GB in that
+    interpreter, so each block of 1 MB or more that the solve allocates is mapped
+    and faulted in fresh, while smaller ones (numpy's ufunc buffers among them)
+    reuse the heap."""
+    instrument = """
+        import ctypes  # -3 is M_MMAP_THRESHOLD, -1 M_TRIM_THRESHOLD
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        assert mallopt(-3, 1 << 20) == 1 and mallopt(-1, 1 << 30) == 1""" if instrumented else ""
+    script = f"""if True:{instrument}
         import resource
         from wavecorr import dispersion, sampling, solver
         spec = sampling.build_spectrum("sobolev", 3.0, {nmax}, {dim})
@@ -343,21 +366,33 @@ def solve_faults(dim, nmax, rows, model, eps, dt, t_final):
     return int(proc.stdout)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
+glibc_instrument = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="the fault instrument is glibc's")
+
+
+@glibc_instrument
 def test_library_solve_keeps_its_heap_pages():
-    # importing the solver sets glibc's M_TOP_PAD, so a solve outside the CLI does
-    # not hand each step's 1-d FFT outputs back to the OS and fault them in again
-    # (about 40,000 minor faults for this solve without it)
+    # glibc's default allocator, as a library caller gets it: every stage writes
+    # into buffers of its solve, so no step hands pages back to the OS and faults
+    # them in again (about 40,700 minor faults for this solve when both 1-d FFTs
+    # allocated their outputs)
     assert solve_faults(1, 32, 256, "BBM", 0.05, 0.01, 1.0) < 1000
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
+@glibc_instrument
+def test_1d_batch_solve_keeps_its_heap_pages():
+    # the 1-d FFTs write into buffers of the solve; either transform allocating its
+    # 1.6 MB result would fault it in at every stage (about 34,700 faults for these
+    # 20 steps, against about 2,700 for the buffers' first touch)
+    assert solve_faults(1, 64, 1024, "BBM", 0.05, 0.01, 0.2, instrumented=True) < 10000
+
+
+@glibc_instrument
 def test_2d_batch_solve_keeps_its_heap_pages():
     # every stage of a 2-d batch writes into buffers of its solve; a product that
-    # allocated its 0.6-1.6 MB result past glibc's 128 KB mmap threshold would fault
-    # it in at every stage (53,600 faults for these 20 steps when all did, about
-    # 2,000 for the buffers' first touch now)
-    assert solve_faults(2, 12, 128, "KPII", 0.05, 5e-4, 1e-2) < 6000
+    # allocated its 1.6 MB grid would fault it in at every stage (about 33,900
+    # faults for these 20 steps, against about 1,900 for the buffers' first touch)
+    assert solve_faults(2, 12, 128, "KPII", 0.05, 5e-4, 1e-2, instrumented=True) < 6000
 
 
 class TestConservedFunctional:
