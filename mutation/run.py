@@ -34,6 +34,7 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 SOLVER = "src/wavecorr/solver.py"
 DISPERSION = "src/wavecorr/dispersion.py"
 SAMPLING = "src/wavecorr/sampling.py"
+COVARIANCE = "src/wavecorr/covariance.py"
 T_SOLVER = "tests/test_solver.py"
 T_DISPERSION = "tests/test_dispersion.py"
 T_TRIADS = "tests/test_triad_sums.py"
@@ -143,14 +144,29 @@ MUTANTS = [
     ("tilde-f-2.001", "src/wavecorr/kernels.py",
      "return 2.0 * half_sin * half_sin",
      "return 2.001 * half_sin * half_sin", "tests/test_kernels.py"),
-    ("bracket-sign-flip", "src/wavecorr/covariance.py",
+    ("bracket-sign-flip", COVARIANCE,
      "- ph[k] * lam2[n] * lam2[l]",
      "+ ph[k] * lam2[n] * lam2[l]", T_TRIADS),
     # the kurtosis term's half mode n/2 taken whenever n1 is even, whatever n2
-    ("kurtosis-parity-of-n1-alone", "src/wavecorr/covariance.py",
+    ("kurtosis-parity-of-n1-alone", COVARIANCE,
      "    even = np.all(modes % 2 == 0, axis=-1)\n",
      "    even = modes[:, 0] % 2 == 0\n",
      "tests/test_covariance.py::TestExactExpectationOracle"),
+    # the batches' per-sample statistics joined last batch first
+    ("mc-batches-merged-in-reverse", COVARIANCE,
+     "np.concatenate([rows for rows, _, _ in results])",
+     "np.concatenate([rows for rows, _, _ in results][::-1])",
+     "tests/test_properties.py::test_mc_report_independent_of_workers_and_batches"),
+    # an eps whose square underflows reaches the 1/eps^2 scale
+    ("mc-epsilon-square-unguarded", COVARIANCE,
+     "(epsilon != 0 and epsilon * epsilon < np.finfo(float).tiny)",
+     "False",
+     "tests/test_cli.py::TestConfig::test_covariance_epsilon_square_underflow_exits_64"),
+    # a negative eps left unscaled
+    ("mc-negative-epsilon-unscaled", COVARIANCE,
+     "scale = 1.0 / epsilon ** 2 if epsilon != 0 else 1.0",
+     "scale = 1.0 / epsilon ** 2 if epsilon > 0 else 1.0",
+     "tests/test_covariance.py::TestMcCovariance::test_negative_epsilon_is_normalized"),
 ]
 
 

@@ -364,6 +364,8 @@ def cmd_covariance(cfg, out):
     except cov.TooFewSamplesError as exc:
         print(f"covariance: REPORT INVALID ({exc})", file=sys.stderr)
         return EXIT_INVALID_REPORT
+    except ValueError as exc:  # an epsilon whose square underflows
+        raise ConfigError(str(exc))
     csv_path = _outfile(out, "covariance.csv")
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     json_path = _outfile(out, "covariance.json")

@@ -163,36 +163,12 @@ def decay_envelope(model, n_l1, s, t):
 # Coupled Monte Carlo estimation.
 # ---------------------------------------------------------------------------
 
-def _batch_moments(x):
-    """(count, mean, sum of squared deviations) along axis 0."""
-    count = x.shape[0]
-    if count == 0:
-        return 0, 0.0, 0.0
-    mean = x.mean(axis=0)
-    m2 = np.sum(np.abs(x - mean) ** 2, axis=0)
-    return count, mean, m2
-
-
-def _merge_moments(acc, update):
-    """Chan's parallel combination of (count, mean, M2) accumulators."""
-    c1, m1, s1 = acc
-    c2, m2, s2 = update
-    if c2 == 0:
-        return acc
-    if c1 == 0:
-        return update
-    count = c1 + c2
-    delta = m2 - m1
-    mean = m1 + delta * (c2 / count)
-    s = s1 + s2 + np.abs(delta) ** 2 * (c1 * c2 / count)
-    return count, mean, s
-
-
 def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, start):
-    """One batch of coupled solves, from sample `start`; mergeable partial statistics.
+    """One batch of coupled solves, from sample `start`.
 
-    Returns (moments of the per-mode coupled statistic, excluded (index,
-    blow-up time) pairs, (category, text) of each warning raised).
+    Returns (the coupled statistic |v|^2 - |a|^2 of each surviving sample,
+    shape (live rows, stored modes); excluded (index, blow-up time) pairs;
+    (category, text) of each warning raised).
     Warnings are recorded rather than shown, so that the caller sees them
     whether the batch ran in its process or in a pool worker.
     """
@@ -203,7 +179,7 @@ def _covariance_batch(ensemble, model, epsilon, t, dt, batch_size, start):
     excluded = [(start + int(i), float(blow[i])) for i in np.flatnonzero(~alive)]
     a = a[alive].reshape(-1, ensemble.spectrum.table.size)
     v = final[alive].reshape(a.shape)
-    return (_batch_moments(np.abs(v) ** 2 - np.abs(a) ** 2), excluded,
+    return (np.abs(v) ** 2 - np.abs(a) ** 2, excluded,
             [(w.category, str(w.message)) for w in caught])
 
 
@@ -265,19 +241,25 @@ class CovarianceReport:
 def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128):
     """Coupled-ensemble estimate of each stored mode's covariance correction at time t.
 
-    Deterministic given (ensemble, batch_size): batches are fixed slices of
-    the sample index range and their statistics merge in index order, so the
-    result is independent of the worker count.  Each distinct warning the
-    batches raise is issued once, in batch order.  Samples whose solve loses
-    finiteness are excluded and reported; more than 1% exclusions marks the
-    report invalid.
+    Deterministic given the ensemble: batches are fixed slices of the
+    sample index range, each row solves as it would alone, and the per-sample
+    statistics are joined in index order and reduced once, so the result is
+    independent of the worker count and the batch size.  Each distinct
+    warning the batches raise is issued once, in batch order.  Samples whose
+    solve loses finiteness are excluded and reported; more than 1% exclusions
+    marks the report invalid.  Estimates are scaled by 1/eps^2 for any
+    nonzero eps; a non-finite eps, or a nonzero one whose square is not a
+    normal float, raises ValueError.
     """
     spectrum = ensemble.spectrum
     if model.dimension != spectrum.dimension:
         raise ValueError(f"spectrum dimension does not match model {model.kind}")
-    if epsilon > 0 and t > 1.0 / (10.0 * epsilon):
+    if not math.isfinite(epsilon) or (epsilon != 0 and epsilon * epsilon < np.finfo(float).tiny):
+        raise ValueError(f"the coupled estimate needs a finite epsilon that is 0 or has "
+                         f"a normal epsilon^2, got {epsilon}")
+    if epsilon != 0 and t > 1.0 / (10.0 * abs(epsilon)):
         warnings.warn(
-            f"t={t:g} exceeds the weakly nonlinear window 1/(10 eps)={1/(10*epsilon):g}; "
+            f"t={t:g} exceeds the weakly nonlinear window 1/(10 eps)={1/(10*abs(epsilon)):g}; "
             "the second-order prediction degrades",
             TheoryWindowWarning, stacklevel=2)
 
@@ -289,20 +271,18 @@ def mc_covariance(ensemble, model, epsilon, t, dt, *, workers=1, batch_size=128)
     else:
         results = list(map(batch, starts))
 
-    acc = (0, 0.0, 0.0)
-    excluded = []
-    for moments, dead, _ in results:
-        acc = _merge_moments(acc, moments)
-        excluded += dead
+    excluded = [pair for _, dead, _ in results for pair in dead]
     for category, text in dict.fromkeys(w for _, _, raised in results for w in raised):
         warnings.warn(text, category, stacklevel=2)
+    stats = np.concatenate([rows for rows, _, _ in results])
+    del results  # free the batch arrays: the reduction below makes one more copy
 
-    used, mean, m2 = acc
+    used = stats.shape[0]
     if used < 2:
         raise TooFewSamplesError("fewer than two usable samples; cannot form errors")
-    scale = 1.0 / epsilon ** 2 if epsilon > 0 else 1.0
-    estimates = mean * scale
-    stderrs = np.sqrt(m2 / (used - 1)) / math.sqrt(used) * scale
+    scale = 1.0 / epsilon ** 2 if epsilon != 0 else 1.0
+    estimates = stats.mean(axis=0) * scale
+    stderrs = stats.std(axis=0, ddof=1) / math.sqrt(used) * scale
 
     g_values, flagged = g_table(spectrum, ensemble.law.kurtosis, model, t)
     g_flat = g_values.reshape(-1)

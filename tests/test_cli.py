@@ -60,6 +60,15 @@ class TestConfig:
         assert line.startswith("config error: remainder extraction needs epsilon > 0")
         assert not (tmp_path / "picard_scan.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-160"])
+    def test_covariance_epsilon_square_underflow_exits_64(self, tmp_path, capsys, eps):
+        # eps^2 is 0 at 1e-300 and subnormal at 1e-160: no estimate can be scaled
+        assert run_cli(tmp_path, "covariance", "--set", f"run.epsilon={eps}",
+                       "--set", "run.samples=16", "--set", "grid.nmax=4") == 64
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: the coupled estimate needs a finite epsilon")
+        assert not (tmp_path / "covariance.csv").exists()
+
     def test_config_file_and_set_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "kdv", "grid.nmax": 6}))

@@ -115,6 +115,16 @@ class TestMcCovariance:
         rep = cov.mc_covariance(self.make_ensemble(16), dsp.BBM, 0.1, 0.0, 1e-2)
         assert np.all(rep.estimates == 0.0)
 
+    def test_negative_epsilon_is_normalized(self):
+        # the eps^2 coefficient is even in eps, so a solve at -eps estimates G_n too
+        rep = cov.mc_covariance(self.make_ensemble(256), dsp.BBM, -0.05, 1.0, 1e-2)
+        assert cov.compare_prediction(rep).fraction_within_3 >= 0.95
+
+    @pytest.mark.parametrize("eps", [1e-300, -1e-160, float("nan"), float("inf")])
+    def test_epsilon_without_a_normal_square_raises(self, eps):
+        with pytest.raises(ValueError, match="finite epsilon"):
+            cov.mc_covariance(self.make_ensemble(8), dsp.BBM, eps, 1.0, 1e-2)
+
     def test_worker_count_invariance(self):
         ens = self.make_ensemble(96)
         r1 = cov.mc_covariance(ens, dsp.BBM, 0.1, 0.5, 5e-3, workers=1, batch_size=32)
